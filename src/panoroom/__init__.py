@@ -25,6 +25,7 @@ from .synth import (
     NoiseSpec,
     SceneConfig,
     SceneSpec,
+    background_mask,
     corrupt_depth,
     generate_scene,
     gt_background_mask,

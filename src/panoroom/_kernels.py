@@ -1,12 +1,19 @@
 """Hot numeric kernels: panorama ray casting, boundary ranging, shell distance.
 
-Each kernel has a numba-compiled loop implementation and a pure-numpy
-vectorized fallback. The backend is picked at import time from the
-``PANOROOM_BACKEND`` environment variable (``numba`` by default, ``numpy``
-forces the fallback). Both paths compute the same formulas; the benchmark
-in ``benchmarks/bench_kernels.py`` compares them.
+All kernels are vectorised numpy and exploit the Manhattan structure of the
+scene instead of testing every pixel against every surface:
 
-Geometry inputs are plain arrays so the kernels stay jit-friendly:
+* the room shell is closed-form per column -- the nearest wall edge of a
+  column's horizontal ray is found once (the same first crossing that
+  ``boundary_range`` computes), and each pixel takes the smaller of that
+  wall's distance and the floor/ceiling plane distance. For a simple
+  polygon containing the origin this equals the full surface test: a
+  floor/ceiling point lies inside the room exactly when it comes before
+  the ray's first wall crossing;
+* each box is slab-tested only inside a conservative row x column
+  footprint derived from its corner azimuths and latitude extremes.
+
+Geometry inputs are plain arrays:
 
 * ``edges``: (N, 4) float64, one floor-plan polygon edge per row as
   (ax, ay, bx, by), camera at the horizontal origin;
@@ -18,180 +25,21 @@ Geometry inputs are plain arrays so the kernels stay jit-friendly:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
+# Read by the benchmark's environment report; there is no compiled backend.
+USE_NUMBA = False
 
 
-USE_NUMBA = _HAVE_NUMBA and os.environ.get("PANOROOM_BACKEND", "numba").lower() != "numpy"
-
-
-# ---------------------------------------------------------------------------
-# loop implementations (numba-compiled when the numba backend is active)
-
-
-@njit(cache=True)
 def _point_in_polygon(edges, px, py):
+    """Even-odd test of one point (scalar callers)."""
     inside = False
-    for k in range(edges.shape[0]):
-        ay = edges[k, 1]
-        by = edges[k, 3]
+    for ax, ay, bx, by in edges:
         if (ay > py) != (by > py):
-            ax = edges[k, 0]
-            bx = edges[k, 2]
             xint = ax + (py - ay) * (bx - ax) / (by - ay)
             if px < xint:
                 inside = not inside
     return inside
-
-
-@njit(cache=True)
-def _ray_boundary_range(edges, dx, dy):
-    """First positive crossing distance of the 2D ray t*(dx,dy), t > 0."""
-    best = np.inf
-    for k in range(edges.shape[0]):
-        ax = edges[k, 0]
-        ay = edges[k, 1]
-        ex = edges[k, 2] - ax
-        ey = edges[k, 3] - ay
-        det = ex * dy - ey * dx
-        if det == 0.0:
-            continue
-        t = (ex * ay - ey * ax) / det
-        u = (dx * ay - dy * ax) / det
-        if t > 0.0 and 0.0 <= u <= 1.0 and t < best:
-            best = t
-    return best
-
-
-@njit(cache=True)
-def _raycast_loop(edges, cam_down, cam_up, boxes, height, width, include_boxes):
-    out = np.empty((height, width), dtype=np.float64)
-    nbox = boxes.shape[0]
-    for i in range(height):
-        lat = (0.5 - (i + 0.5) / height) * np.pi
-        sl = np.sin(lat)
-        cl = np.cos(lat)
-        for j in range(width):
-            lon = ((j + 0.5) / width) * 2.0 * np.pi - np.pi
-            dx = cl * np.cos(lon)
-            dy = cl * np.sin(lon)
-            dz = sl
-            best = np.inf
-            if dz < 0.0:
-                t = -cam_down / dz
-                if _point_in_polygon(edges, t * dx, t * dy):
-                    best = t
-            elif dz > 0.0:
-                t = cam_up / dz
-                if _point_in_polygon(edges, t * dx, t * dy):
-                    best = t
-            for k in range(edges.shape[0]):
-                ax = edges[k, 0]
-                ay = edges[k, 1]
-                ex = edges[k, 2] - ax
-                ey = edges[k, 3] - ay
-                det = ex * dy - ey * dx
-                if det == 0.0:
-                    continue
-                t = (ex * ay - ey * ax) / det
-                u = (dx * ay - dy * ax) / det
-                if t > 0.0 and 0.0 <= u <= 1.0 and t < best:
-                    z = t * dz
-                    if -cam_down <= z <= cam_up:
-                        best = t
-            if include_boxes:
-                for b in range(nbox):
-                    tn = -np.inf
-                    tf = np.inf
-                    ok = True
-                    for axis in range(3):
-                        if axis == 0:
-                            d = dx
-                        elif axis == 1:
-                            d = dy
-                        else:
-                            d = dz
-                        lo = boxes[b, axis]
-                        hi = boxes[b, 3 + axis]
-                        if d == 0.0:
-                            if lo > 0.0 or hi < 0.0:
-                                ok = False
-                                break
-                        else:
-                            t1 = lo / d
-                            t2 = hi / d
-                            if t1 > t2:
-                                t1, t2 = t2, t1
-                            if t1 > tn:
-                                tn = t1
-                            if t2 < tf:
-                                tf = t2
-                    if ok and tn <= tf and 0.0 < tn < best:
-                        best = tn
-            out[i, j] = best
-    return out
-
-
-@njit(cache=True)
-def _boundary_range_loop(edges, azimuths):
-    out = np.empty(azimuths.shape[0], dtype=np.float64)
-    for i in range(azimuths.shape[0]):
-        out[i] = _ray_boundary_range(edges, np.cos(azimuths[i]), np.sin(azimuths[i]))
-    return out
-
-
-@njit(cache=True)
-def _shell_outside_distance_loop(edges, cam_down, cam_up, points):
-    out = np.empty(points.shape[0], dtype=np.float64)
-    for p in range(points.shape[0]):
-        x = points[p, 0]
-        y = points[p, 1]
-        z = points[p, 2]
-        dv = 0.0
-        if z > cam_up:
-            dv = z - cam_up
-        elif z < -cam_down:
-            dv = -cam_down - z
-        if _point_in_polygon(edges, x, y):
-            dh = 0.0
-        else:
-            dh = np.inf
-            for k in range(edges.shape[0]):
-                ax = edges[k, 0]
-                ay = edges[k, 1]
-                ex = edges[k, 2] - ax
-                ey = edges[k, 3] - ay
-                ee = ex * ex + ey * ey
-                s = ((x - ax) * ex + (y - ay) * ey) / ee
-                if s < 0.0:
-                    s = 0.0
-                elif s > 1.0:
-                    s = 1.0
-                qx = ax + s * ex - x
-                qy = ay + s * ey - y
-                d2 = qx * qx + qy * qy
-                if d2 < dh:
-                    dh = d2
-            dh = np.sqrt(dh)
-        out[p] = np.sqrt(dh * dh + dv * dv)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
 
 
 def _points_in_polygon_np(edges, px, py):
@@ -204,112 +52,142 @@ def _points_in_polygon_np(edges, px, py):
     return inside
 
 
-def raycast_numpy(edges, cam_down, cam_up, boxes, height, width, include_boxes):
+def _first_crossing(edges, dx, dy):
+    """First positive crossing of the 2D rays t*(dx, dy) with the polygon.
+
+    Returns the distance (inf where no edge is crossed) and the index of
+    the crossed edge (-1 where none is).
+    """
+    best = np.full(np.shape(dx), np.inf)
+    edge = np.full(np.shape(dx), -1, dtype=np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, (ax, ay, bx, by) in enumerate(edges):
+            ex = bx - ax
+            ey = by - ay
+            det = ex * dy - ey * dx
+            t = (ex * ay - ey * ax) / det
+            u = (dx * ay - dy * ax) / det
+            closer = (det != 0.0) & (t > 0.0) & (u >= 0.0) & (u <= 1.0) & (t < best)
+            best = np.where(closer, t, best)
+            edge = np.where(closer, k, edge)
+    return best, edge
+
+
+def boundary_range(edges, azimuths):
+    """Horizontal distance to the first wall along each azimuth."""
+    return _first_crossing(edges, np.cos(azimuths), np.sin(azimuths))[0]
+
+
+def _column_slices(lo_lon, hi_lon, width):
+    """Columns whose centre longitude may lie in [lo_lon, hi_lon], with one
+    column of margin on each side, as one or two slices (split at the seam)."""
+    c0 = int(np.floor((lo_lon + np.pi) / (2.0 * np.pi) * width - 0.5)) - 1
+    c1 = int(np.ceil((hi_lon + np.pi) / (2.0 * np.pi) * width - 0.5)) + 1
+    if c1 - c0 + 1 >= width:
+        return [slice(0, width)]
+    c0 %= width
+    c1 %= width
+    if c0 <= c1:
+        return [slice(c0, c1 + 1)]
+    return [slice(c0, width), slice(0, c1 + 1)]
+
+
+def _box_footprint(box, height, width):
+    """Conservative row slice and column slices of the pixels whose rays can
+    hit ``box``."""
+    x0, y0, z0, x1, y1, z1 = box
+    # nearest and farthest horizontal distance from the camera axis to the box
+    rmin = np.hypot(max(x0, 0.0, -x1), max(y0, 0.0, -y1))
+    rmax = np.hypot(max(-x0, x1), max(-y0, y1))
+    lat_hi = np.arctan2(z1, rmin if z1 >= 0.0 else rmax)
+    lat_lo = np.arctan2(z0, rmin if z0 <= 0.0 else rmax)
+    r0 = max(int(np.floor((0.5 - lat_hi / np.pi) * height - 0.5)) - 1, 0)
+    r1 = min(int(np.ceil((0.5 - lat_lo / np.pi) * height - 0.5)) + 1, height - 1)
+    rows = slice(r0, r1 + 1)
+
+    if x0 <= 0.0 <= x1 and y0 <= 0.0 <= y1:
+        return rows, [slice(0, width)]
+    # The rectangle misses the origin, so its corners span an arc under pi:
+    # azimuths relative to one corner give that arc even across the seam.
+    az = np.arctan2([y0, y0, y1, y1], [x0, x1, x0, x1])
+    rel = (az - az[0] + np.pi) % (2.0 * np.pi) - np.pi
+    return rows, _column_slices(az[0] + rel.min(), az[0] + rel.max(), width)
+
+
+def _slab_into(best, box, dx, dy, dz):
+    """Lower ``best`` in place to the entry distance of rays that hit ``box``."""
+    tn = np.full(best.shape, -np.inf)
+    tf = np.full(best.shape, np.inf)
+    ok = np.ones(best.shape, dtype=bool)
+    for axis, d in enumerate((dx, dy, dz)):
+        lo = box[axis]
+        hi = box[3 + axis]
+        zero = d == 0.0
+        ok &= ~(zero & ((lo > 0.0) | (hi < 0.0)))
+        t1 = np.where(zero, -np.inf, lo / np.where(zero, 1.0, d))
+        t2 = np.where(zero, np.inf, hi / np.where(zero, 1.0, d))
+        tn = np.where(zero, tn, np.maximum(tn, np.minimum(t1, t2)))
+        tf = np.where(zero, tf, np.minimum(tf, np.maximum(t1, t2)))
+    np.copyto(best, tn, where=ok & (tn <= tf) & (tn > 0.0) & (tn < best))
+
+
+def raycast(edges, cam_down, cam_up, boxes, height, width, include_boxes):
+    """Radial distance to the first surface at every pixel centre, (H, W)."""
     lat = (0.5 - (np.arange(height) + 0.5) / height)[:, None] * np.pi
     lon = (((np.arange(width) + 0.5) / width) * 2.0 - 1.0)[None, :] * np.pi
     cl = np.cos(lat)
-    dx = cl * np.cos(lon)
-    dy = cl * np.sin(lon)
-    dz = np.broadcast_to(np.sin(lat), (height, width))
-    best = np.full((height, width), np.inf)
+    cos_lon = np.cos(lon)
+    sin_lon = np.sin(lon)
+    dz = np.sin(lat)
 
+    # Room shell: each column's nearest wall against the floor/ceiling plane.
+    # The wall distance is (ex*ay - ey*ax) / (ex*dy - ey*dx) with the ray
+    # direction (dx, dy) = cl * (cos_lon, sin_lon), rounded in the same
+    # order as a per-pixel direction so every depth keeps its exact bits.
+    _, k = _first_crossing(edges, cos_lon[0], sin_lon[0])
+    ax, ay, bx, by = edges[np.maximum(k, 0)].T
+    ex = bx - ax
+    ey = by - ay
+    det = np.multiply(cl, sin_lon)
+    det *= ex
+    ey_dx = np.multiply(cl, cos_lon)
+    ey_dx *= ey
+    det -= ey_dx
     with np.errstate(divide="ignore", invalid="ignore"):
-        for z0, mask in ((-cam_down, dz < 0.0), (cam_up, dz > 0.0)):
-            t = np.where(mask, z0 / dz, np.inf)
-            hit = mask & _points_in_polygon_np(edges, t * dx, t * dy)
-            best = np.where(hit & (t < best), t, best)
+        best = np.divide(ex * ay - ey * ax, det, out=det)
+        t_plane = np.where(dz < 0.0, -cam_down / dz, np.where(dz > 0.0, cam_up / dz, np.inf))
+    best[:, k < 0] = np.inf
+    np.minimum(best, t_plane, out=best)
 
-        for ax, ay, bx, by in edges:
-            ex = bx - ax
-            ey = by - ay
-            det = ex * dy - ey * dx
-            t = (ex * ay - ey * ax) / det
-            u = (dx * ay - dy * ax) / det
-            z = t * dz
-            hit = (
-                (det != 0.0)
-                & (t > 0.0)
-                & (u >= 0.0)
-                & (u <= 1.0)
-                & (z >= -cam_down)
-                & (z <= cam_up)
-            )
-            best = np.where(hit & (t < best), t, best)
-
-        if include_boxes:
-            dirs = np.stack([dx, dy, dz], axis=-1)
-            for b in range(boxes.shape[0]):
-                tn = np.full((height, width), -np.inf)
-                tf = np.full((height, width), np.inf)
-                ok = np.ones((height, width), dtype=bool)
-                for axis in range(3):
-                    d = dirs[..., axis]
-                    lo = boxes[b, axis]
-                    hi = boxes[b, 3 + axis]
-                    zero = d == 0.0
-                    ok &= ~(zero & ((lo > 0.0) | (hi < 0.0)))
-                    t1 = np.where(zero, -np.inf, lo / np.where(zero, 1.0, d))
-                    t2 = np.where(zero, np.inf, hi / np.where(zero, 1.0, d))
-                    lo_t = np.minimum(t1, t2)
-                    hi_t = np.maximum(t1, t2)
-                    tn = np.where(zero, tn, np.maximum(tn, lo_t))
-                    tf = np.where(zero, tf, np.minimum(tf, hi_t))
-                hit = ok & (tn <= tf) & (tn > 0.0)
-                best = np.where(hit & (tn < best), tn, best)
+    if include_boxes:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for box in boxes:
+                rows, col_slices = _box_footprint(box, height, width)
+                for cols in col_slices:
+                    c = cl[rows]
+                    dirs = (c * cos_lon[:, cols], c * sin_lon[:, cols], dz[rows])
+                    _slab_into(best[rows, cols], box, *dirs)
     return best
 
 
-def boundary_range_numpy(edges, azimuths):
-    dx = np.cos(azimuths)
-    dy = np.sin(azimuths)
-    best = np.full(azimuths.shape[0], np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for ax, ay, bx, by in edges:
-            ex = bx - ax
-            ey = by - ay
-            det = ex * dy - ey * dx
-            t = (ex * ay - ey * ax) / det
-            u = (dx * ay - dy * ax) / det
-            hit = (det != 0.0) & (t > 0.0) & (u >= 0.0) & (u <= 1.0)
-            best = np.where(hit & (t < best), t, best)
-    return best
-
-
-def shell_outside_distance_numpy(edges, cam_down, cam_up, points):
-    x = points[:, 0]
-    y = points[:, 1]
-    z = points[:, 2]
-    dv = np.maximum(np.maximum(z - cam_up, -cam_down - z), 0.0)
-    inside = _points_in_polygon_np(edges, x, y)
-    dh2 = np.full(points.shape[0], np.inf)
+def polygon_boundary_distance(edges, x, y):
+    """Distance from points (x, y) to the nearest point on the polygon's edges."""
+    d2 = np.full(np.shape(x), np.inf)
     for ax, ay, bx, by in edges:
         ex = bx - ax
         ey = by - ay
         s = np.clip(((x - ax) * ex + (y - ay) * ey) / (ex * ex + ey * ey), 0.0, 1.0)
         qx = ax + s * ex - x
         qy = ay + s * ey - y
-        dh2 = np.minimum(dh2, qx * qx + qy * qy)
-    dh = np.where(inside, 0.0, np.sqrt(dh2))
+        d2 = np.minimum(d2, qx * qx + qy * qy)
+    return np.sqrt(d2)
+
+
+def shell_outside_distance(edges, cam_down, cam_up, points):
+    x = points[:, 0]
+    y = points[:, 1]
+    z = points[:, 2]
+    dv = np.maximum(np.maximum(z - cam_up, -cam_down - z), 0.0)
+    inside = _points_in_polygon_np(edges, x, y)
+    dh = np.where(inside, 0.0, polygon_boundary_distance(edges, x, y))
     return np.hypot(dh, dv)
-
-
-def raycast_numba(edges, cam_down, cam_up, boxes, height, width, include_boxes):
-    return _raycast_loop(edges, cam_down, cam_up, boxes, height, width, include_boxes)
-
-
-def boundary_range_numba(edges, azimuths):
-    return _boundary_range_loop(edges, azimuths)
-
-
-def shell_outside_distance_numba(edges, cam_down, cam_up, points):
-    return _shell_outside_distance_loop(edges, cam_down, cam_up, points)
-
-
-if USE_NUMBA:
-    raycast = raycast_numba
-    boundary_range = boundary_range_numba
-    shell_outside_distance = shell_outside_distance_numba
-else:
-    raycast = raycast_numpy
-    boundary_range = boundary_range_numpy
-    shell_outside_distance = shell_outside_distance_numpy

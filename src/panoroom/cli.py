@@ -48,7 +48,7 @@ def _cmd_synth(args) -> int:
         os.makedirs(scene_dir, exist_ok=True)
         gt = synth.raycast_depth(scene, grid, include_foreground=True)
         bg = synth.raycast_depth(scene, grid, include_foreground=False)
-        mask = synth.gt_background_mask(scene, grid)
+        mask = synth.background_mask(gt, bg)
         layout = room_to_layout(scene.room, grid)
         formats.write_json(formats.scene_to_dict(scene), os.path.join(scene_dir, "scene.json"))
         formats.write_pfm(gt.values, os.path.join(scene_dir, "gt.pfm"))
@@ -64,8 +64,7 @@ def _cmd_bg(args) -> int:
     layout, grid = formats.layout_from_dict(formats.read_json(args.layout))
     coarse = _load_depth(args.coarse)
     heights = bgdepth.resolve_camera_heights(layout, coarse, grid, aggregator=args.aggregator)
-    mode = {"exact": "exact", "paper-literal": "paper-literal"}[args.mode]
-    bg = bgdepth.resolve_background_depth(layout, heights, grid, mode=mode)
+    bg = bgdepth.resolve_background_depth(layout, heights, grid, mode=args.mode)
     formats.write_pfm(bg.values, args.out)
     return 0
 

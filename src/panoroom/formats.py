@@ -21,10 +21,19 @@ from .layout import LayoutMap, ManhattanRoom
 from .synth import SceneSpec
 
 
+def _current_umask() -> int:
+    """The process umask; os.umask reads it only by setting it."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def _atomic_write_bytes(path: str, payload: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        # mkstemp creates the file 0600; give it the mode open() would have
+        os.fchmod(fd, 0o666 & ~_current_umask())
         with os.fdopen(fd, "wb") as f:
             f.write(payload)
         os.replace(tmp, path)

@@ -287,10 +287,7 @@ def room_to_layout(room: ManhattanRoom, grid: GridSpec) -> LayoutMap:
     floor_rows = grid.height * (0.5 + np.arctan(room.cam_to_floor / r) / np.pi)
     ceil_rows = grid.height * (0.5 - np.arctan(room.cam_to_ceil / r) / np.pi)
     corner = np.zeros(grid.width, dtype=np.float64)
-    for x, y in room.vertices:
-        alpha = np.arctan2(y, x)
-        v = int(np.floor((alpha + np.pi) / (2.0 * np.pi) * grid.width)) % grid.width
-        corner[v] = 1.0
+    corner[corner_azimuth_columns(room, grid)] = 1.0
     return LayoutMap(ceil_rows=ceil_rows, floor_rows=floor_rows, corner_prob=corner)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .bgdepth import DepthMap
+from .bgdepth import DepthMap, require_same_grid
 from .equirect import GridSpec
 from .fusion import SegMap
 from .layout import ManhattanRoom, _segments_intersect
@@ -86,22 +86,13 @@ def _min_azimuth_gap(vertices: np.ndarray) -> float:
     return float(np.min(gaps))
 
 
-def _boundary_distance_2d(edges: np.ndarray, p: np.ndarray) -> float:
-    best = np.inf
-    for ax, ay, bx, by in edges:
-        ex, ey = bx - ax, by - ay
-        s = np.clip(((p[0] - ax) * ex + (p[1] - ay) * ey) / (ex * ex + ey * ey), 0.0, 1.0)
-        best = min(best, float(np.hypot(ax + s * ex - p[0], ay + s * ey - p[1])))
-    return best
-
-
 def _footprint_ok(vertices: np.ndarray, edges: np.ndarray, x0, y0, x1, y1) -> bool:
     """Axis-aligned footprint strictly inside the (possibly L-shaped) plan."""
     corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
     for c in corners:
         if not _kernels._point_in_polygon(edges, c[0], c[1]):
             return False
-        if _boundary_distance_2d(edges, np.array(c)) < 1e-9:
+        if _kernels.polygon_boundary_distance(edges, *c) < 1e-9:
             return False
     rect_edges = [
         ((x0, y0), (x1, y0)),
@@ -193,7 +184,7 @@ def raycast_depth(scene: SceneSpec, grid: GridSpec, include_foreground: bool = T
         scene.room.edges,
         scene.room.cam_to_floor,
         scene.room.cam_to_ceil,
-        np.ascontiguousarray(scene.boxes),
+        scene.boxes,
         grid.height,
         grid.width,
         bool(include_foreground),
@@ -201,12 +192,19 @@ def raycast_depth(scene: SceneSpec, grid: GridSpec, include_foreground: bool = T
     return DepthMap(grid=grid, values=values)
 
 
+def background_mask(with_fg: DepthMap, without_fg: DepthMap, eps: float = 1e-6) -> SegMap:
+    """1 where two renders of one scene, with and without foreground, agree
+    within eps."""
+    grid = require_same_grid(with_fg, without_fg)
+    agree = np.abs(with_fg.values - without_fg.values) <= eps
+    return SegMap(grid=grid, values=agree.astype(np.float64))
+
+
 def gt_background_mask(scene: SceneSpec, grid: GridSpec, eps: float = 1e-6) -> SegMap:
     """1 where renders with and without foreground agree within eps."""
     with_fg = raycast_depth(scene, grid, include_foreground=True)
     without_fg = raycast_depth(scene, grid, include_foreground=False)
-    agree = np.abs(with_fg.values - without_fg.values) <= eps
-    return SegMap(grid=grid, values=agree.astype(np.float64))
+    return background_mask(with_fg, without_fg, eps)
 
 
 def corrupt_depth(depth: DepthMap, noise: NoiseSpec) -> DepthMap:

@@ -52,9 +52,6 @@ def report(criterion, detail):
 
 
 def test_criterion_1_oracle_equivalence():
-    # warm up jit compilation outside the timed region
-    warm = generate_scene(0, SceneConfig())
-    raycast_depth(warm, FULL, include_foreground=False)
     t0 = time.perf_counter()
     worst = 0.0
     for scene in scenes(100):

@@ -1,10 +1,13 @@
+import os
+import stat
 import struct
 
 import numpy as np
 import pytest
 
+from panoroom.equirect import GridSpec
 from panoroom.errors import PfmHeaderError, PfmMagicError, PfmTruncatedError
-from panoroom.formats import read_pfm, write_pfm
+from panoroom.formats import read_pfm, write_json, write_ply_pointcloud, write_pfm
 
 
 def test_golden_single_pixel(tmp_path):
@@ -76,3 +79,17 @@ def test_bottom_to_top_row_order(tmp_path):
     payload = raw.split(b"\n", 3)[3]
     floats = struct.unpack("<4f", payload)
     assert floats == (3.0, 4.0, 1.0, 2.0)  # bottom row first
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_written_files_follow_umask(tmp_path, umask, mode):
+    paths = [tmp_path / "m.pfm", tmp_path / "d.json", tmp_path / "c.ply"]
+    previous = os.umask(umask)
+    try:
+        write_pfm(np.ones((2, 4)), str(paths[0]))
+        write_json({"a": 1}, str(paths[1]))
+        write_ply_pointcloud(np.ones((2, 4)), GridSpec(width=4, height=2), str(paths[2]))
+    finally:
+        os.umask(previous)
+    for path in paths:
+        assert stat.S_IMODE(path.stat().st_mode) == mode, path.name

@@ -7,11 +7,13 @@ from panoroom import (
     GridSpec,
     NoiseSpec,
     SceneConfig,
+    background_mask,
     corrupt_depth,
     generate_scene,
     gt_background_mask,
     raycast_depth,
 )
+from panoroom.errors import ShapeMismatchError
 from panoroom.formats import scene_to_dict
 from panoroom._kernels import _point_in_polygon
 
@@ -130,6 +132,15 @@ def test_mask_boxes_subset():
     assert np.all(masked <= full)
     if len(scene.boxes):
         assert masked.min() == 0.0
+
+
+def test_mask_from_held_renders():
+    scene = make_scene(17, boxes=(2, 4))
+    gt = raycast_depth(scene, GRID, include_foreground=True)
+    bg = raycast_depth(scene, GRID, include_foreground=False)
+    assert np.array_equal(background_mask(gt, bg).values, gt_background_mask(scene, GRID).values)
+    with pytest.raises(ShapeMismatchError):
+        background_mask(gt, raycast_depth(scene, GridSpec(width=64, height=32)))
 
 
 def test_mask_infinite_eps():
