@@ -9,6 +9,7 @@ exits nonzero.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -17,14 +18,17 @@ import numpy as np
 from . import bgdepth, denoise, formats, fusion, metrics, synth
 from .bgdepth import DepthMap
 from .equirect import GridSpec
-from .errors import PanoroomError
+from .errors import PanoroomError, ShapeMismatchError
 from .fusion import SegMap
 from .layout import room_to_layout
 
 
 def _grid_for(values: np.ndarray) -> GridSpec:
     h, w = values.shape
-    return GridSpec(width=w, height=h)
+    try:
+        return GridSpec(width=w, height=h)
+    except ValueError as e:
+        raise ShapeMismatchError(str(e)) from None
 
 
 def _load_depth(path: str) -> DepthMap:
@@ -110,7 +114,9 @@ def _cmd_pointcloud(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(prog="panoroom")
     sub = parser.add_subparsers(dest="command", required=True)
 

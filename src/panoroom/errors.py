@@ -53,3 +53,10 @@ class PfmHeaderError(PfmError):
 
 class PfmTruncatedError(PfmError):
     code = "pfm-truncated"
+
+
+class SchemaError(PanoroomError):
+    """A JSON document lacks a key, holds a value of the wrong type, or a
+    ragged array."""
+
+    code = "schema"

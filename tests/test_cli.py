@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from panoroom.cli import main
 from panoroom.formats import read_pfm, write_pfm
@@ -119,3 +120,74 @@ def test_bad_pfm_gives_structured_error(tmp_path, capsys):
     rc = run(["pointcloud", "--depth", str(bad), "--out", str(tmp_path / "o.ply")])
     assert rc != 0
     assert "error: pfm-magic:" in capsys.readouterr().err
+
+
+def assert_one_error_line(capsys, rc, code):
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(f"error: {code}: "), lines
+
+
+def write_flat_pfm(path, height=4):
+    write_pfm(np.ones((height, 2 * height), dtype=np.float32), str(path))
+    return str(path)
+
+
+GOOD_LAYOUT = {
+    "width": 8, "height": 4, "ceil": [1.0] * 8, "floor": [3.0] * 8, "corner_prob": [0.0] * 8,
+}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"floor": None},  # the key is missing
+        {"width": "8"},
+        {"height": 4.0},
+        {"ceil": "1 1 1 1 1 1 1 1"},
+        {"floor": [3.0] * 7},
+        {"corner_prob": [[0.0, 0.0]] * 4},
+        {"ceil": [[1.0], [1.0, 1.0]] * 4},
+        {"ceil": [1.0] * 7 + [None]},
+    ],
+    ids=["missing", "width-str", "height-float", "ceil-str", "floor-short", "prob-2d",
+         "ragged", "null-item"],
+)
+def test_bg_layout_schema_errors(tmp_path, capsys, change):
+    layout = {**GOOD_LAYOUT, **change}
+    layout = {k: v for k, v in layout.items() if v is not None}
+    path = tmp_path / "layout.json"
+    path.write_text(json.dumps(layout))
+    coarse = write_flat_pfm(tmp_path / "coarse.pfm")
+    rc = run(["bg", "--layout", path, "--coarse", coarse, "--out", tmp_path / "bg.pfm"])
+    assert_one_error_line(capsys, rc, "schema")
+
+
+@pytest.mark.parametrize(
+    "room",
+    [
+        {"vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]], "cam_to_floor": 1.5},
+        {"vertices": [[-1, -1], [1, -1], [1], [-1, 1]], "cam_to_floor": 1.5, "cam_to_ceil": 1.0},
+        {"vertices": [[-1, -1, 0], [1, -1, 0]], "cam_to_floor": 1.5, "cam_to_ceil": 1.0},
+        {"vertices": [["a", "b"]] * 4, "cam_to_floor": 1.5, "cam_to_ceil": 1.0},
+        {"vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]], "cam_to_floor": "1.5",
+         "cam_to_ceil": 1.0},
+        [[-1, -1], [1, -1], [1, 1], [-1, 1]],
+    ],
+    ids=["missing", "ragged", "3d", "strings", "height-str", "not-object"],
+)
+def test_denoise_room_schema_errors(tmp_path, capsys, room):
+    path = tmp_path / "room.json"
+    path.write_text(json.dumps(room))
+    depth = write_flat_pfm(tmp_path / "d.pfm")
+    rc = run(["denoise", "--gt", depth, "--bg", depth, "--room", path, "--out", tmp_path / "o.pfm"])
+    assert_one_error_line(capsys, rc, "schema")
+
+
+def test_wrong_aspect_pfm_is_shape_mismatch(tmp_path, capsys):
+    square = tmp_path / "sq.pfm"
+    write_pfm(np.ones((4, 4), dtype=np.float32), str(square))
+    rc = run(["pointcloud", "--depth", square, "--out", tmp_path / "o.ply"])
+    assert_one_error_line(capsys, rc, "shape-mismatch")
+    assert not (tmp_path / "o.ply").exists()

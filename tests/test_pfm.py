@@ -6,8 +6,16 @@ import numpy as np
 import pytest
 
 from panoroom.equirect import GridSpec
-from panoroom.errors import PfmHeaderError, PfmMagicError, PfmTruncatedError
-from panoroom.formats import read_pfm, write_json, write_ply_pointcloud, write_pfm
+from panoroom.errors import PfmHeaderError, PfmMagicError, PfmTruncatedError, SchemaError
+from panoroom.formats import (
+    read_pfm,
+    scene_from_dict,
+    scene_to_dict,
+    write_json,
+    write_ply_pointcloud,
+    write_pfm,
+)
+from panoroom.synth import SceneConfig, generate_scene
 
 
 def test_golden_single_pixel(tmp_path):
@@ -93,3 +101,28 @@ def test_written_files_follow_umask(tmp_path, umask, mode):
         os.umask(previous)
     for path in paths:
         assert stat.S_IMODE(path.stat().st_mode) == mode, path.name
+
+
+def scene_doc():
+    return scene_to_dict(generate_scene(4, SceneConfig(box_count_range=(2, 2))))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.pop("cam_to_ceil"),
+        lambda d: d.update(seed="4"),
+        lambda d: d.update(boxes={"min": [0, 0, 0]}),
+        lambda d: d["boxes"][0].pop("max"),
+        lambda d: d["boxes"][1].update(min=[0.0, 1.0]),
+        lambda d: d["boxes"].append([0, 0, 0, 1, 1, 1]),
+    ],
+    ids=["missing-height", "seed-str", "boxes-object", "box-missing-max", "box-short",
+         "box-list"],
+)
+def test_scene_schema_errors(edit):
+    doc = scene_doc()
+    assert scene_from_dict(doc).boxes.shape == (2, 6)
+    edit(doc)
+    with pytest.raises(SchemaError):
+        scene_from_dict(doc)
