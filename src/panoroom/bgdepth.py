@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equirect import GridSpec, pixel_center_lats
-from .errors import NoValidSamplesError, ShapeMismatchError
+from .errors import NoValidSamplesError, ShapeMismatchError, ValueRangeError
 from .layout import CameraHeights, LayoutMap
 
 CEILING, WALL, FLOOR = 0, 1, 2
@@ -40,9 +40,9 @@ class DepthMap:
         if v.shape != self.grid.shape:
             raise ShapeMismatchError(f"depth values {v.shape} != grid {self.grid.shape}")
         if not np.all(np.isfinite(v)):
-            raise ValueError("depth values must be finite")
+            raise ValueRangeError("depth values must be finite")
         if np.any(v < 0):
-            raise ValueError("depth values must be >= 0")
+            raise ValueRangeError("depth values must be >= 0")
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)

@@ -18,17 +18,14 @@ import numpy as np
 from . import bgdepth, denoise, formats, fusion, metrics, synth
 from .bgdepth import DepthMap
 from .equirect import GridSpec
-from .errors import PanoroomError, ShapeMismatchError
+from .errors import PanoroomError
 from .fusion import SegMap
 from .layout import room_to_layout
 
 
 def _grid_for(values: np.ndarray) -> GridSpec:
     h, w = values.shape
-    try:
-        return GridSpec(width=w, height=h)
-    except ValueError as e:
-        raise ShapeMismatchError(str(e)) from None
+    return GridSpec(width=w, height=h)
 
 
 def _load_depth(path: str) -> DepthMap:

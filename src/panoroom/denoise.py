@@ -7,6 +7,11 @@ touched. The shell is the floor-plan polygon extruded between the floor
 and ceiling planes and capped, so the outside distance of a point is
 ``hypot(horizontal distance to the polygon region, vertical distance to
 the height slab)``.
+
+Only pixels that could be replaced are measured. A pixel's ray leaves the
+shell at the room's own empty-shell depth ``t``, and ``t * u`` lies on the
+shell, so a point at depth ``d`` on that ray is at most ``max(0, d - t)``
+outside it: ``d <= t + slack`` already proves the pixel is kept.
 """
 
 from __future__ import annotations
@@ -15,10 +20,18 @@ import numpy as np
 
 from . import _kernels
 from .bgdepth import DepthMap, require_same_grid
-from .equirect import GridSpec, pixel_center_dirs
+from .equirect import GridSpec, pixel_center_dirs_at
+from .errors import ShapeMismatchError, ValueRangeError
 from .layout import ManhattanRoom
 
 DEFAULT_SLACK = 1.0  # meters
+
+# How far inside ``t + slack`` a depth must lie to skip the exact distance.
+# The ray-cast depth and the exact distance both round to ~1e-14 m for
+# rooms and depths under ~1e4 m, so 1e-9 m keeps the test on the safe side.
+_MARGIN = 1e-9
+
+_NO_BOXES = np.empty((0, 6))
 
 
 def shell_outside_distance(room: ManhattanRoom, points: np.ndarray) -> np.ndarray:
@@ -36,15 +49,23 @@ def denoise_depth(
     grid: GridSpec,
     slack: float = DEFAULT_SLACK,
 ) -> DepthMap:
-    if slack <= 0:
-        raise ValueError("slack must be > 0")
+    """Replace missing pixels and pixels more than ``slack`` meters outside
+    the room shell with the background depth."""
+    if not slack > 0:
+        raise ValueRangeError(f"slack must be > 0, got {slack}")
     require_same_grid(gt, background)
     if gt.grid != grid:
-        raise ValueError("depth map grid differs from requested grid")
+        raise ShapeMismatchError("depth map grid differs from requested grid")
 
-    dirs = pixel_center_dirs(grid)
-    points = gt.values[..., None] * dirs
-    dist = shell_outside_distance(room, points.reshape(-1, 3)).reshape(grid.shape)
-    replace = (gt.values == 0) | (dist > slack)
-    out = np.where(replace, background.values, gt.values)
+    d = gt.values
+    t = _kernels.raycast(
+        room.edges, room.cam_to_floor, room.cam_to_ceil, _NO_BOXES, grid.height, grid.width, False
+    )
+    # written as "not kept" so that a NaN depth bound makes a candidate
+    rows, cols = np.nonzero(~(d <= t + (slack - _MARGIN)))
+    points = pixel_center_dirs_at(rows, cols, grid)
+    points *= d[rows, cols][:, None]
+    replace = d == 0
+    replace[rows, cols] |= shell_outside_distance(room, points) > slack
+    out = np.where(replace, background.values, d)
     return DepthMap(grid=grid, values=out)

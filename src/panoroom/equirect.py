@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CoordinateRangeError
+from .errors import CoordinateRangeError, ShapeMismatchError, ValueRangeError
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,9 @@ class GridSpec:
 
     def __post_init__(self):
         if self.height <= 0 or self.width <= 0:
-            raise ValueError("grid dimensions must be positive")
+            raise ValueRangeError("grid dimensions must be positive")
         if self.width != 2 * self.height:
-            raise ValueError(
+            raise ShapeMismatchError(
                 f"equirectangular grid needs width == 2*height, got {self.width}x{self.height}"
             )
 
@@ -119,3 +119,20 @@ def pixel_center_dirs(grid: GridSpec) -> np.ndarray:
         ],
         axis=-1,
     )
+
+
+def pixel_center_dirs_at(rows, cols, grid: GridSpec) -> np.ndarray:
+    """(N, 3) unit ray directions at the pixel centers ``(rows[k], cols[k])``.
+
+    Bit-identical to ``pixel_center_dirs(grid)[rows, cols]`` (the same
+    products of the same per-row and per-column factors) without building
+    the (H, W, 3) array.
+    """
+    lat = pixel_center_lats(grid)
+    lon = pixel_center_lons(grid)
+    cl = np.cos(lat)[rows]
+    out = np.empty((len(cl), 3))
+    np.multiply(cl, np.cos(lon)[cols], out=out[:, 0])
+    np.multiply(cl, np.sin(lon)[cols], out=out[:, 1])
+    out[:, 2] = np.sin(lat)[rows]
+    return out

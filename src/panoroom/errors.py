@@ -15,10 +15,18 @@ class CoordinateRangeError(PanoroomError):
     code = "coordinate-range"
 
 
-class ShapeMismatchError(PanoroomError):
-    """Maps that must share a grid do not."""
+class ShapeMismatchError(PanoroomError, ValueError):
+    """Maps that must share a grid do not, or a grid is not 2:1."""
 
     code = "shape-mismatch"
+
+
+class ValueRangeError(PanoroomError, ValueError):
+    """A value lies outside its allowed range: a non-finite or negative
+    depth, a probability outside [0, 1], a boundary row outside its half of
+    the image, or a non-positive slack, threshold or size."""
+
+    code = "value-range"
 
 
 class CornerExtractionError(PanoroomError):

@@ -17,7 +17,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .equirect import GridSpec, pixel_center_dirs
+from .equirect import GridSpec, pixel_center_dirs_at
 from .errors import PfmHeaderError, PfmMagicError, PfmTruncatedError, SchemaError
 from .layout import LayoutMap, ManhattanRoom
 from .synth import SceneSpec
@@ -284,9 +284,9 @@ def _format_points(pts: np.ndarray) -> bytes:
 
 def write_ply_pointcloud(depth_values: np.ndarray, grid: GridSpec, path: str) -> None:
     """Unproject valid pixels to 3D and write an ASCII PLY point cloud."""
-    dirs = pixel_center_dirs(grid)
-    valid = depth_values > 0
-    pts = depth_values[valid][:, None] * dirs[valid]
+    rows, cols = np.nonzero(depth_values > 0)
+    pts = pixel_center_dirs_at(rows, cols, grid)
+    pts *= depth_values[rows, cols][:, None]
     lines = [
         "ply",
         "format ascii 1.0",

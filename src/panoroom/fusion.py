@@ -13,7 +13,7 @@ import numpy as np
 
 from .bgdepth import DepthMap, require_same_grid
 from .equirect import GridSpec
-from .errors import ShapeMismatchError
+from .errors import ShapeMismatchError, ValueRangeError
 
 DEFAULT_SEG_GAMMA = 0.1  # meters
 
@@ -30,7 +30,7 @@ class SegMap:
         if v.shape != self.grid.shape:
             raise ShapeMismatchError(f"seg values {v.shape} != grid {self.grid.shape}")
         if np.any(v < 0) or np.any(v > 1) or not np.all(np.isfinite(v)):
-            raise ValueError("segmentation values must lie in [0, 1]")
+            raise ValueRangeError("segmentation values must lie in [0, 1]")
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -61,8 +61,8 @@ def derive_seg_labels(
 
     Pixels with invalid ground truth are labeled 0.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
+    if not gamma > 0:
+        raise ValueRangeError(f"gamma must be > 0, got {gamma}")
     grid = require_same_grid(gt, background)
     residual = np.abs(gt.values - background.values)
     labels = ((residual < gamma) & (gt.values > 0)).astype(np.float64)

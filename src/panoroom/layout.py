@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels
 from .equirect import GridSpec, pixel_center_lons
-from .errors import CornerExtractionError, PolygonError
+from .errors import CornerExtractionError, PolygonError, ShapeMismatchError, ValueRangeError
 
 
 def _readonly(a, dtype=np.float64):
@@ -34,7 +34,7 @@ class CameraHeights:
         for name in ("up", "down"):
             v = getattr(self, name)
             if not np.isfinite(v) or v <= 0:
-                raise ValueError(f"camera height '{name}' must be finite and > 0, got {v}")
+                raise ValueRangeError(f"camera height '{name}' must be finite and > 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,9 @@ class LayoutMap:
         object.__setattr__(self, "corner_prob", _readonly(self.corner_prob))
         n = len(self.ceil_rows)
         if len(self.floor_rows) != n or len(self.corner_prob) != n:
-            raise ValueError("layout channel lengths differ")
-        if np.any(self.corner_prob < 0) or np.any(self.corner_prob > 1):
-            raise ValueError("corner probabilities must lie in [0, 1]")
+            raise ShapeMismatchError("layout channel lengths differ")
+        if not np.all((self.corner_prob >= 0) & (self.corner_prob <= 1)):
+            raise ValueRangeError("corner probabilities must lie in [0, 1]")
 
     @property
     def width(self) -> int:
@@ -61,12 +61,12 @@ class LayoutMap:
 
     def validate_against(self, grid: GridSpec) -> None:
         if self.width != grid.width:
-            raise ValueError(f"layout width {self.width} != grid width {grid.width}")
+            raise ShapeMismatchError(f"layout width {self.width} != grid width {grid.width}")
         half = grid.height / 2.0
-        if np.any(self.ceil_rows <= 0) or np.any(self.ceil_rows >= half):
-            raise ValueError("ceiling rows must lie in (0, H/2)")
-        if np.any(self.floor_rows <= half) or np.any(self.floor_rows >= grid.height):
-            raise ValueError("floor rows must lie in (H/2, H)")
+        if not np.all((self.ceil_rows > 0) & (self.ceil_rows < half)):
+            raise ValueRangeError("ceiling rows must lie in (0, H/2)")
+        if not np.all((self.floor_rows > half) & (self.floor_rows < grid.height)):
+            raise ValueRangeError("floor rows must lie in (H/2, H)")
 
 
 def polygon_edges(vertices: np.ndarray) -> np.ndarray:
@@ -120,6 +120,8 @@ class ManhattanRoom:
         v = self.vertices
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 4:
             raise PolygonError("floor plan needs at least 4 (x, y) vertices")
+        if not np.all(np.isfinite(v)):
+            raise PolygonError("floor plan vertices must be finite")
         if not np.isfinite(self.cam_to_floor) or self.cam_to_floor <= 0:
             raise PolygonError("cam_to_floor must be finite and > 0")
         if not np.isfinite(self.cam_to_ceil) or self.cam_to_ceil <= 0:

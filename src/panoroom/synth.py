@@ -15,6 +15,7 @@ import numpy as np
 from . import _kernels
 from .bgdepth import DepthMap, require_same_grid
 from .equirect import GridSpec
+from .errors import ValueRangeError
 from .fusion import SegMap
 from .layout import ManhattanRoom, _segments_intersect
 
@@ -63,7 +64,7 @@ class SceneConfig:
             raise ValueError("plan must be 'rect' or 'lshape'")
         lo, hi = self.box_count_range
         if lo < 0 or hi < lo:
-            raise ValueError("box_count_range must be a nonempty nonnegative range")
+            raise ValueRangeError("box_count_range must be a nonempty nonnegative range")
 
 
 def _edge_line_clearance(vertices: np.ndarray, p: np.ndarray) -> float:

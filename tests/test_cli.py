@@ -191,3 +191,58 @@ def test_wrong_aspect_pfm_is_shape_mismatch(tmp_path, capsys):
     rc = run(["pointcloud", "--depth", square, "--out", tmp_path / "o.ply"])
     assert_one_error_line(capsys, rc, "shape-mismatch")
     assert not (tmp_path / "o.ply").exists()
+
+
+def write_pfm_holding(path, value):
+    values = np.ones((4, 8), dtype=np.float32)
+    values[1, 2] = value
+    write_pfm(values, str(path))
+    return str(path)
+
+
+def bg_with_layout(tmp_path, **change):
+    path = tmp_path / "layout.json"
+    path.write_text(json.dumps({**GOOD_LAYOUT, **change}))
+    coarse = write_flat_pfm(tmp_path / "coarse.pfm")
+    return ["bg", "--layout", path, "--coarse", coarse, "--out", tmp_path / "bg.pfm"]
+
+
+def denoise_with_slack(tmp_path, slack):
+    room = tmp_path / "room.json"
+    room.write_text(json.dumps(
+        {"vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]], "cam_to_floor": 1.5, "cam_to_ceil": 1.0}
+    ))
+    depth = write_flat_pfm(tmp_path / "d.pfm")
+    return ["denoise", "--gt", depth, "--bg", depth, "--room", room, "--slack", slack,
+            "--out", tmp_path / "o.pfm"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (lambda p: ["pointcloud", "--depth", write_pfm_holding(p / "d.pfm", np.nan),
+                    "--out", p / "o.ply"], "value-range"),
+        (lambda p: ["pointcloud", "--depth", write_pfm_holding(p / "d.pfm", -1.0),
+                    "--out", p / "o.ply"], "value-range"),
+        (lambda p: bg_with_layout(p, width=8, height=8), "shape-mismatch"),
+        (lambda p: bg_with_layout(p, corner_prob=[2.0] * 8), "value-range"),
+        (lambda p: bg_with_layout(p, ceil=[3.0] * 8), "value-range"),
+        (lambda p: denoise_with_slack(p, -1), "value-range"),
+        (lambda p: denoise_with_slack(p, "nan"), "value-range"),
+        (lambda p: ["fuse", "--coarse", write_flat_pfm(p / "c.pfm"), "--bg", p / "c.pfm",
+                    "--seg", write_pfm_holding(p / "s.pfm", 1.5), "--out", p / "o.pfm"],
+         "value-range"),
+        (lambda p: ["seglabel", "--gt", write_flat_pfm(p / "g.pfm"), "--bg", p / "g.pfm",
+                    "--gamma", -1, "--out", p / "o.pfm"], "value-range"),
+        (lambda p: ["seglabel", "--gt", write_flat_pfm(p / "g.pfm"), "--bg", p / "g.pfm",
+                    "--gamma", "nan", "--out", p / "o.pfm"], "value-range"),
+        (lambda p: ["synth", "--seed", 0, "--count", 1, "--out-dir", p / "s",
+                    "--boxes", 3, 1], "value-range"),
+    ],
+    ids=["pfm-nan", "pfm-negative", "layout-8x8", "corner-prob-2", "ceil-rows",
+         "slack-negative", "slack-nan", "seg-above-1", "gamma-negative", "gamma-nan",
+         "boxes-reversed"],
+)
+def test_value_errors_get_their_code(tmp_path, capsys, argv, code):
+    rc = run(argv(tmp_path))
+    assert_one_error_line(capsys, rc, code)

@@ -4,13 +4,15 @@ import pytest
 from panoroom import (
     DepthMap,
     GridSpec,
+    ManhattanRoom,
     NoiseSpec,
+    SceneSpec,
     corrupt_depth,
     denoise_depth,
     raycast_depth,
 )
 from panoroom.denoise import shell_outside_distance
-from panoroom.equirect import pixel_center_dirs
+from panoroom.equirect import pixel_center_dirs, pixel_center_lons
 
 from conftest import make_scene
 
@@ -114,3 +116,83 @@ def test_monotone_in_slack():
     replaced_tight = tight.values != noisy.values
     replaced_loose = loose.values != noisy.values
     assert np.all(replaced_loose <= replaced_tight)  # loose replaces a subset
+
+
+def full_grid_denoise(gt, background, room, grid, slack):
+    """The denoise rule applied to every pixel: unproject the whole grid and
+    take the exact shell distance of each point."""
+    points = gt.values[..., None] * pixel_center_dirs(grid)
+    dist = shell_outside_distance(room, points.reshape(-1, 3)).reshape(grid.shape)
+    return np.where((gt.values == 0) | (dist > slack), background.values, gt.values)
+
+
+def shell_depth(room, grid):
+    """Depth of the room's own empty shell along every pixel ray."""
+    return raycast_depth(SceneSpec(room=room, boxes=np.empty((0, 6)), seed=0), grid, False).values
+
+
+def disagreeing_rooms(room):
+    """The room itself, one smaller and one larger than the measured scene."""
+    v, down, up = room.vertices, room.cam_to_floor, room.cam_to_ceil
+    return [
+        room,
+        ManhattanRoom(v * 0.8, cam_to_floor=down * 1.1, cam_to_ceil=up * 0.7),
+        ManhattanRoom(v * 1.25, cam_to_floor=down * 0.9, cam_to_ceil=up * 1.3),
+    ]
+
+
+def rotated_room(grid, col):
+    """A rectangle turned so that its +x wall faces the ray of column ``col``:
+    on an odd-height grid that ray meets the wall head-on at the horizon,
+    where the shell distance is exactly the depth beyond the wall."""
+    a = pixel_center_lons(grid)[col]
+    c, s = np.cos(a), np.sin(a)
+    rect = np.array([[-1.7, -1.2], [2.1, -1.2], [2.1, 1.6], [-1.7, 1.6]])
+    return ManhattanRoom(rect @ np.array([[c, s], [-s, c]]), cam_to_floor=1.4, cam_to_ceil=1.1)
+
+
+SLACKS = (1e-6, 1.0, 3.0)
+
+
+@pytest.mark.parametrize("height", [32, 33, 64])
+def test_matches_full_grid_on_generated_scenes(height):
+    grid = GridSpec(width=2 * height, height=height)
+    for seed in range(4):
+        scene = make_scene(seed, plan="rect" if seed % 2 else "lshape", boxes=(1, 3))
+        gt = raycast_depth(scene, grid, include_foreground=True)
+        bg = raycast_depth(scene, grid, include_foreground=False)
+        noisy = corrupt_depth(gt, NoiseSpec(salt_frac=0.05, outlier_frac=0.2, seed=seed))
+        for room in disagreeing_rooms(scene.room):
+            for slack in SLACKS:
+                want = full_grid_denoise(noisy, bg, room, grid, slack)
+                got = denoise_depth(noisy, bg, room, grid, slack).values
+                assert np.array_equal(got, want), (seed, slack)
+
+
+def _steps_from(x, ulps):
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, np.inf if ulps > 0 else -np.inf)
+    return x
+
+
+@pytest.mark.parametrize("height", [32, 33])
+def test_matches_full_grid_at_the_bound(height):
+    """Depths within 1e-10 m and 3 ulp of ``t + slack``, where ``t`` is the
+    room's shell depth: the bound decides these pixels, or hands them to the
+    exact distance, exactly as the full grid does."""
+    grid = GridSpec(width=2 * height, height=height)
+    scene = make_scene(5, plan="lshape")
+    rooms = disagreeing_rooms(scene.room) + [rotated_room(grid, grid.width // 8)]
+    bg = raycast_depth(scene, grid, include_foreground=False)
+    offsets = [1e-10, -1e-10, 3e-11, -3e-11]
+    zeros = np.zeros(grid.shape, dtype=bool)
+    zeros[::7, ::5] = True
+    for room in rooms:
+        t = shell_depth(room, grid)
+        for slack in SLACKS:
+            edge = t + slack
+            for depth in [edge + o for o in offsets] + [_steps_from(edge, k) for k in range(-3, 4)]:
+                gt = DepthMap(grid=grid, values=np.where(zeros, 0.0, depth))
+                want = full_grid_denoise(gt, bg, room, grid, slack)
+                got = denoise_depth(gt, bg, room, grid, slack).values
+                assert np.array_equal(got, want), slack
