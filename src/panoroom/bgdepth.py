@@ -28,6 +28,21 @@ CEILING, WALL, FLOOR = 0, 1, 2
 RESOLVE_MODES = ("exact", "paper-literal")
 
 
+def _own_map(cls, grid: GridSpec, values: np.ndarray):
+    """A ``cls`` map over ``values`` without ``__post_init__``'s checks and
+    copy, for maps the package computes itself.
+
+    ``values`` must be a fresh float64 array of ``grid.shape`` whose range
+    the caller has established; it is marked read-only and must not be
+    written through any other reference.
+    """
+    values.flags.writeable = False
+    m = object.__new__(cls)
+    object.__setattr__(m, "grid", grid)
+    object.__setattr__(m, "values", values)
+    return m
+
+
 @dataclass(frozen=True)
 class DepthMap:
     """H x W radial distances in meters; 0 = invalid/missing."""
@@ -46,6 +61,8 @@ class DepthMap:
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
+
+    _own = classmethod(_own_map)
 
 
 def require_same_grid(*maps) -> GridSpec:
@@ -80,16 +97,23 @@ def wall_depth(lat, wall_range, mode: str = "exact"):
     return wall_range * np.cos(lat)
 
 
+def _cap_masks(layout: LayoutMap, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(ceiling, floor) pixel masks: centers strictly above the ceiling
+    boundary, and strictly below the floor boundary."""
+    rows = (np.arange(grid.height, dtype=np.float64) + 0.5)[:, None]
+    return rows < layout.ceil_rows[None, :], rows > layout.floor_rows[None, :]
+
+
 def classify_regions(layout: LayoutMap, grid: GridSpec) -> np.ndarray:
     """Per-pixel {CEILING, WALL, FLOOR} labels from the layout boundaries.
 
     A pixel center exactly on a boundary counts as wall.
     """
     layout.validate_against(grid)
-    rows = (np.arange(grid.height, dtype=np.float64) + 0.5)[:, None]
+    ceiling, floor = _cap_masks(layout, grid)
     region = np.full(grid.shape, WALL, dtype=np.int8)
-    region[rows < layout.ceil_rows[None, :]] = CEILING
-    region[rows > layout.floor_rows[None, :]] = FLOOR
+    region[ceiling] = CEILING
+    region[floor] = FLOOR
     return region
 
 
@@ -123,6 +147,34 @@ def sample_bilinear(values: np.ndarray, row: float, col: float) -> float:
     return total / wsum
 
 
+def _walk_to_valid(v: np.ndarray, start: np.ndarray, step: int) -> np.ndarray:
+    """Per column, the first row from ``start[col]`` on, moving by ``step``,
+    whose value is valid (> 0); a row outside [0, H) where the column runs
+    out first."""
+    h, w = v.shape
+    rows = start.copy()
+    k = np.arange(w)
+    while True:
+        # the columns still sitting on an invalid pixel inside the image
+        k = k[(rows[k] >= 0) & (rows[k] < h)]
+        k = k[v[rows[k], k] <= 0.0]
+        if not k.size:
+            return rows
+        rows[k] += step
+
+
+def _row_sines(rows: np.ndarray, h: int, sign: float) -> np.ndarray:
+    """``np.sin(sign * lat)`` at each pixel-center row in ``rows``.
+
+    Each distinct row is one scalar ``np.sin`` call, so the bits match a
+    per-column scalar loop: the array form of ``np.sin`` may take a SIMD
+    path that rounds differently on some hosts.
+    """
+    distinct, where = np.unique(rows, return_inverse=True)
+    lats = [(0.5 - (i + 0.5) / h) * np.pi for i in distinct.tolist()]
+    return np.array([np.sin(sign * lat) for lat in lats], dtype=np.float64)[where]
+
+
 def _column_estimates_interior(layout, coarse, grid):
     """Exact per-column height estimates from in-region pixel centers.
 
@@ -133,22 +185,18 @@ def _column_estimates_interior(layout, coarse, grid):
     """
     h = grid.height
     v = coarse.values
-    up = np.full(grid.width, np.nan)
-    down = np.full(grid.width, np.nan)
-    for col in range(grid.width):
-        i = int(np.ceil(layout.ceil_rows[col] - 0.5)) - 1  # last center above boundary
-        while i >= 0 and v[i, col] <= 0.0:
-            i -= 1
-        if i >= 0:
-            lat = (0.5 - (i + 0.5) / h) * np.pi
-            up[col] = v[i, col] * np.sin(lat)
-        i = int(np.floor(layout.floor_rows[col] - 0.5)) + 1  # first center below boundary
-        while i < h and v[i, col] <= 0.0:
-            i += 1
-        if i < h:
-            lat = (0.5 - (i + 0.5) / h) * np.pi
-            down[col] = v[i, col] * np.sin(-lat)
-    return up, down
+    estimates = []
+    # last center above the ceiling boundary, first center below the floor
+    for start, step, sign in (
+        (np.ceil(layout.ceil_rows - 0.5).astype(np.intp) - 1, -1, 1.0),
+        (np.floor(layout.floor_rows - 0.5).astype(np.intp) + 1, 1, -1.0),
+    ):
+        rows = _walk_to_valid(v, start, step)
+        est = np.full(grid.width, np.nan)
+        (cols,) = np.nonzero((rows >= 0) & (rows < h))
+        est[cols] = v[rows[cols], cols] * _row_sines(rows[cols], h, sign)
+        estimates.append(est)
+    return tuple(estimates)
 
 
 def _column_estimates_boundary(layout, coarse, grid):
@@ -217,15 +265,20 @@ def resolve_background_depth(
     if mode not in RESOLVE_MODES:
         raise ValueError(f"mode must be one of {RESOLVE_MODES}, got {mode!r}")
     layout.validate_against(grid)
-    region = classify_regions(layout, grid)
     lat = pixel_center_lats(grid)[:, None]
 
     phi_f = (layout.floor_rows / grid.height - 0.5) * np.pi
     wall_range = heights.down / np.tan(phi_f)
 
     with np.errstate(divide="ignore", invalid="ignore"):
+        out = wall_depth(lat, wall_range[None, :], mode)
         d_ceil = ceiling_depth(lat, heights.up, mode)
         d_floor = floor_depth(-lat, heights.down, mode)
-        d_wall = wall_depth(lat, wall_range[None, :], mode)
-    out = np.where(region == CEILING, d_ceil, np.where(region == FLOOR, d_floor, d_wall))
-    return DepthMap(grid=grid, values=out)
+    ceiling, floor = _cap_masks(layout, grid)
+    np.copyto(out, d_ceil, where=ceiling)
+    np.copyto(out, d_floor, where=floor)
+    # validated boundaries keep every formula positive where it applies;
+    # a boundary next to the horizon can still overflow the wall range
+    if not np.isfinite(out).all():
+        raise ValueRangeError("depth values must be finite")
+    return DepthMap._own(grid, out)

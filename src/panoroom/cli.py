@@ -18,7 +18,7 @@ import numpy as np
 from . import bgdepth, denoise, formats, fusion, metrics, synth
 from .bgdepth import DepthMap
 from .equirect import GridSpec
-from .errors import PanoroomError
+from .errors import PanoroomError, ValueRangeError
 from .fusion import SegMap
 from .layout import room_to_layout
 
@@ -39,6 +39,8 @@ def _load_seg(path: str) -> SegMap:
 
 
 def _cmd_synth(args) -> int:
+    if args.count < 1:
+        raise ValueRangeError(f"--count must be >= 1, got {args.count}")
     grid = GridSpec(width=2 * args.height, height=args.height)
     config = synth.SceneConfig(plan=args.plan, box_count_range=tuple(args.boxes))
     os.makedirs(args.out_dir, exist_ok=True)

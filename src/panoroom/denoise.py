@@ -61,11 +61,14 @@ def denoise_depth(
     t = _kernels.raycast(
         room.edges, room.cam_to_floor, room.cam_to_ceil, _NO_BOXES, grid.height, grid.width, False
     )
+    t += slack - _MARGIN
     # written as "not kept" so that a NaN depth bound makes a candidate
-    rows, cols = np.nonzero(~(d <= t + (slack - _MARGIN)))
+    flat = np.flatnonzero(~(d <= t))
+    rows, cols = np.divmod(flat, grid.width)
     points = pixel_center_dirs_at(rows, cols, grid)
-    points *= d[rows, cols][:, None]
-    replace = d == 0
-    replace[rows, cols] |= shell_outside_distance(room, points) > slack
-    out = np.where(replace, background.values, d)
-    return DepthMap(grid=grid, values=out)
+    points *= np.take(d, flat)[:, None]
+    replace = (d == 0).ravel()
+    replace[flat] |= shell_outside_distance(room, points) > slack
+    # each pixel comes from one of two validated maps
+    out = np.where(replace.reshape(grid.shape), background.values, d)
+    return DepthMap._own(grid, out)

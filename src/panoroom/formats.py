@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import stat
 import tempfile
 from collections.abc import Iterable
 
@@ -23,8 +24,25 @@ from .layout import LayoutMap, ManhattanRoom
 from .synth import SceneSpec
 
 
+# Linux reports the umask here; reading it leaves the process umask alone
+_PROC_STATUS = "/proc/self/status"
+
+
 def _current_umask() -> int:
-    """The process umask; os.umask reads it only by setting it."""
+    """The process umask.
+
+    Read from the ``Umask:`` line of ``_PROC_STATUS`` where there is one.
+    Elsewhere it falls back to ``os.umask``, which reads the umask only by
+    setting it, leaving a window in which a file another thread creates
+    gets mode 0666.
+    """
+    try:
+        with open(_PROC_STATUS, "rb") as f:
+            for line in f:
+                if line.startswith(b"Umask:"):
+                    return int(line.split()[1], 8)
+    except OSError:
+        pass
     mask = os.umask(0)
     os.umask(mask)
     return mask
@@ -94,10 +112,19 @@ def read_pfm(path: str) -> np.ndarray:
         if w <= 0 or h <= 0 or scale == 0:
             raise PfmHeaderError(f"invalid PFM dimensions/scale: {w} {h} {scale}")
         dtype = "<f4" if scale < 0 else ">f4"
-        payload = f.read(w * h * 4)
-        if len(payload) != w * h * 4:
+        size = w * h * 4
+        # check a regular file's length first, so a huge header on a small
+        # file is not answered with an allocation of the declared size
+        st = os.fstat(f.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size - f.tell() < size:
+            available = st.st_size - f.tell()
             raise PfmTruncatedError(
-                f"PFM payload truncated: expected {w * h * 4} bytes, got {len(payload)}"
+                f"PFM payload truncated: expected {size} bytes, got {available}"
+            )
+        payload = f.read(size)
+        if len(payload) != size:
+            raise PfmTruncatedError(
+                f"PFM payload truncated: expected {size} bytes, got {len(payload)}"
             )
     data = np.frombuffer(payload, dtype=dtype).reshape(h, w)
     return np.flipud(data).astype(np.float32)
@@ -209,7 +236,10 @@ def scene_from_dict(d: dict) -> SceneSpec:
 
 def read_json(path: str) -> dict:
     with open(path) as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as e:
+            raise SchemaError(f"not a JSON document: {e}") from None
 
 
 # --- PLY --------------------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bgdepth import DepthMap, require_same_grid
+from .bgdepth import DepthMap, _own_map, require_same_grid
 from .equirect import GridSpec
 from .errors import ShapeMismatchError, ValueRangeError
 
@@ -35,6 +35,8 @@ class SegMap:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
+    _own = classmethod(_own_map)
+
 
 def fuse_depth(coarse: DepthMap, background: DepthMap, seg: SegMap) -> DepthMap:
     """Blend coarse and background depth with the segmentation weight.
@@ -45,13 +47,22 @@ def fuse_depth(coarse: DepthMap, background: DepthMap, seg: SegMap) -> DepthMap:
     c = coarse.values
     b = background.values
     p = seg.values
-    blended = b * p + c * (1.0 - p)
-    out = np.where(
-        (c > 0) & (b > 0),
-        blended,
-        np.where(b > 0, b, np.where(c > 0, c, 0.0)),
-    )
-    return DepthMap(grid=grid, values=out)
+    out = b * p
+    rest = 1.0 - p
+    rest *= c
+    out += rest
+    c_missing = c == 0
+    np.copyto(out, b, where=c_missing)
+    b_missing = b == 0
+    if b_missing.any():  # a background map rarely has holes
+        np.copyto(out, c, where=b_missing)
+        # +0.0 even where an input holds -0.0
+        c_missing &= b_missing
+        np.copyto(out, 0.0, where=c_missing)
+    # the inputs are finite and >= 0; the rounded blend is not proven finite
+    if not np.isfinite(out).all():
+        raise ValueRangeError("depth values must be finite")
+    return DepthMap._own(grid, out)
 
 
 def derive_seg_labels(
@@ -64,6 +75,8 @@ def derive_seg_labels(
     if not gamma > 0:
         raise ValueRangeError(f"gamma must be > 0, got {gamma}")
     grid = require_same_grid(gt, background)
-    residual = np.abs(gt.values - background.values)
-    labels = ((residual < gamma) & (gt.values > 0)).astype(np.float64)
-    return SegMap(grid=grid, values=labels)
+    residual = gt.values - background.values
+    np.abs(residual, out=residual)
+    close = residual < gamma
+    close &= gt.values > 0
+    return SegMap._own(grid, close.astype(np.float64))

@@ -71,21 +71,36 @@ def eval_metrics(pred: DepthMap, gt: DepthMap, mask: SegMap | None = None) -> Me
     if mask is not None:
         require_same_grid(gt, mask)
         valid &= mask.values >= 0.5
-    if not valid.any():
+    n = np.count_nonzero(valid)
+    if n == 0:
         raise NoValidSamplesError("no valid pixels to evaluate")
-    p = pred.values[valid]
-    g = gt.values[valid]
+    if n == valid.size:
+        # the same 1-D arrays, in the same order, as the gathers below
+        p = pred.values.ravel()
+        g = gt.values.ravel()
+    else:
+        p = pred.values[valid]
+        g = gt.values[valid]
     diff = p - g
+    abs_diff = np.abs(diff)
+    sq_diff = np.square(diff, out=diff)
+    scaled = abs_diff / g
+    abs_rel = np.mean(scaled)
+    sq_rel = np.mean(np.divide(sq_diff, g, out=scaled))
+    rmse = np.sqrt(np.mean(sq_diff))
+    mae = np.mean(abs_diff)
+    # max(p / g, g / p), in two buffers that are no longer needed
     with np.errstate(divide="ignore"):
-        ratio = np.maximum(p / g, g / p)
+        ratio = np.divide(p, g, out=scaled)
+        np.maximum(ratio, np.divide(g, p, out=sq_diff), out=ratio)
     return MetricsReport(
-        abs_rel=float(np.mean(np.abs(diff) / g)),
-        sq_rel=float(np.mean(diff**2 / g)),
-        rmse=float(np.sqrt(np.mean(diff**2))),
-        mae=float(np.mean(np.abs(diff))),
-        delta1=float(np.mean(ratio < 1.25)),
-        delta2=float(np.mean(ratio < 1.25**2)),
-        delta3=float(np.mean(ratio < 1.25**3)),
+        abs_rel=float(abs_rel),
+        sq_rel=float(sq_rel),
+        rmse=float(rmse),
+        mae=float(mae),
+        delta1=float(np.count_nonzero(ratio < 1.25) / n),
+        delta2=float(np.count_nonzero(ratio < 1.25**2) / n),
+        delta3=float(np.count_nonzero(ratio < 1.25**3) / n),
     )
 
 

@@ -198,7 +198,7 @@ def background_mask(with_fg: DepthMap, without_fg: DepthMap, eps: float = 1e-6) 
     within eps."""
     grid = require_same_grid(with_fg, without_fg)
     agree = np.abs(with_fg.values - without_fg.values) <= eps
-    return SegMap(grid=grid, values=agree.astype(np.float64))
+    return SegMap._own(grid, agree.astype(np.float64))
 
 
 def gt_background_mask(scene: SceneSpec, grid: GridSpec, eps: float = 1e-6) -> SegMap:

@@ -9,14 +9,23 @@ from panoroom import (
     DepthMap,
     GridSpec,
     LayoutMap,
+    NoiseSpec,
     classify_regions,
+    corrupt_depth,
     raycast_depth,
     resolve_background_depth,
     resolve_camera_heights,
     room_to_layout,
 )
-from panoroom.bgdepth import floor_depth, sample_bilinear, wall_depth
-from panoroom.errors import NoValidSamplesError
+from panoroom.bgdepth import (
+    _column_estimates_interior,
+    ceiling_depth,
+    floor_depth,
+    sample_bilinear,
+    wall_depth,
+)
+from panoroom.equirect import pixel_center_lats
+from panoroom.errors import NoValidSamplesError, ValueRangeError
 
 from conftest import make_scene, mixed_scenes
 
@@ -202,3 +211,98 @@ def test_background_all_positive():
         for mode in ("exact", "paper-literal"):
             bg = resolve_background_depth(layout, scene.room.heights, GRID, mode)
             assert np.all(bg.values > 0)
+
+
+# --- identity with the per-column loop and the nested-where background -------
+
+
+def loop_column_estimates_interior(layout, coarse, grid):
+    """Reference: the interior sampler as a per-column loop with scalar sin."""
+    h = grid.height
+    v = coarse.values
+    up = np.full(grid.width, np.nan)
+    down = np.full(grid.width, np.nan)
+    for col in range(grid.width):
+        i = int(np.ceil(layout.ceil_rows[col] - 0.5)) - 1  # last center above boundary
+        while i >= 0 and v[i, col] <= 0.0:
+            i -= 1
+        if i >= 0:
+            lat = (0.5 - (i + 0.5) / h) * np.pi
+            up[col] = v[i, col] * np.sin(lat)
+        i = int(np.floor(layout.floor_rows[col] - 0.5)) + 1  # first center below boundary
+        while i < h and v[i, col] <= 0.0:
+            i += 1
+        if i < h:
+            lat = (0.5 - (i + 0.5) / h) * np.pi
+            down[col] = v[i, col] * np.sin(-lat)
+    return up, down
+
+
+def nested_where_background(layout, heights, grid, mode):
+    """Reference: every formula over the full grid, picked by region label."""
+    region = classify_regions(layout, grid)
+    lat = pixel_center_lats(grid)[:, None]
+    wall_range = heights.down / np.tan((layout.floor_rows / grid.height - 0.5) * np.pi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_ceil = ceiling_depth(lat, heights.up, mode)
+        d_floor = floor_depth(-lat, heights.down, mode)
+        d_wall = wall_depth(lat, wall_range[None, :], mode)
+    return np.where(region == CEILING, d_ceil, np.where(region == FLOOR, d_floor, d_wall))
+
+
+def salted_scenes(height):
+    """Generated scenes at ``height`` rows: layout, clean render and a copy
+    with 30% of its pixels zeroed; in every fifth column of the salted copy
+    the whole ceiling (and, offset by two, floor) region is zeroed too, so
+    that the interior walk runs off the image."""
+    grid = GridSpec(width=2 * height, height=height)
+    for seed in range(6):
+        scene = make_scene(seed, plan="rect" if seed % 2 else "lshape", boxes=(0, 3))
+        layout = room_to_layout(scene.room, grid)
+        clean = raycast_depth(scene, grid, include_foreground=True)
+        salted = corrupt_depth(clean, NoiseSpec(salt_frac=0.3, outlier_frac=0.1, seed=seed))
+        values = salted.values.copy()
+        values[: height // 2, ::5] = 0.0
+        values[height // 2 :, 2::5] = 0.0
+        yield scene, layout, grid, clean, DepthMap(grid=grid, values=values)
+
+
+@pytest.mark.parametrize("height", [32, 33, 64])
+def test_interior_estimates_match_the_loop(height):
+    for scene, layout, grid, clean, salted in salted_scenes(height):
+        for coarse in (clean, salted):
+            got = _column_estimates_interior(layout, coarse, grid)
+            want = loop_column_estimates_interior(layout, coarse, grid)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes(), scene.seed
+        assert np.isnan(got[0][::5]).all() and np.isnan(got[1][2::5]).all()
+        assert np.isfinite(got[0][1::5]).any()
+
+
+@pytest.mark.parametrize("height", [32, 33, 64])
+def test_background_matches_nested_where(height):
+    for scene, layout, grid, clean, salted in salted_scenes(height):
+        for heights in (scene.room.heights, CameraHeights(up=0.37, down=2.9)):
+            for mode in ("exact", "paper-literal"):
+                got = resolve_background_depth(layout, heights, grid, mode).values
+                want = nested_where_background(layout, heights, grid, mode)
+                assert got.tobytes() == want.tobytes(), (scene.seed, mode)
+
+
+def test_background_is_read_only():
+    scene = make_scene(2)
+    bg = resolve_background_depth(layout_for(scene), scene.room.heights, GRID)
+    assert not bg.values.flags.writeable
+    with pytest.raises(ValueError):
+        bg.values[0, 0] = 1.0
+
+
+def test_background_overflow_is_value_range():
+    # a floor boundary a hair below the horizon overflows the wall range
+    h, w = 64, 128
+    grid = GridSpec(width=w, height=h)
+    layout = LayoutMap(
+        ceil_rows=np.full(w, 10.0), floor_rows=np.full(w, 32.0 + 1e-13), corner_prob=np.zeros(w)
+    )
+    with pytest.raises(ValueRangeError), np.errstate(over="ignore"):
+        resolve_background_depth(layout, CameraHeights(up=1.0, down=1e296), grid)

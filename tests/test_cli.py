@@ -1,9 +1,13 @@
 import json
 import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import panoroom
 from panoroom.cli import main
 from panoroom.formats import read_pfm, write_pfm
 
@@ -246,3 +250,50 @@ def denoise_with_slack(tmp_path, slack):
 def test_value_errors_get_their_code(tmp_path, capsys, argv, code):
     rc = run(argv(tmp_path))
     assert_one_error_line(capsys, rc, code)
+
+
+@pytest.mark.parametrize("command", ["bg", "denoise"])
+def test_truncated_json_is_schema(tmp_path, capsys, command):
+    path = tmp_path / "doc.json"
+    depth = write_flat_pfm(tmp_path / "d.pfm")
+    if command == "bg":
+        path.write_text(json.dumps(GOOD_LAYOUT)[:60])
+        argv = ["bg", "--layout", path, "--coarse", depth, "--out", tmp_path / "o.pfm"]
+    else:
+        room = {"vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]], "cam_to_floor": 1.5,
+                "cam_to_ceil": 1.0}
+        path.write_text(json.dumps(room)[:60])
+        argv = ["denoise", "--gt", depth, "--bg", depth, "--room", path, "--out", tmp_path / "o.pfm"]
+    rc = run(argv)
+    assert_one_error_line(capsys, rc, "schema")
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_synth_count_below_one_is_value_range(tmp_path, capsys, count):
+    rc = run(["synth", "--seed", 0, "--count", count, "--out-dir", tmp_path / "s"])
+    assert_one_error_line(capsys, rc, "value-range")
+    assert not (tmp_path / "s").exists()
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_huge_pfm_header_on_a_tiny_file(tmp_path):
+    """A header declaring 100000 x 50000 pixels (a 20 GB payload) on a file
+    of a few bytes is reported as truncated before anything is allocated.
+    The CLI runs in a child whose address space is capped at 1 GiB, so
+    that reading the declared size could only fail there."""
+    pfm = tmp_path / "huge.pfm"
+    pfm.write_bytes(b"Pf\n100000 50000\n-1.0\n" + b"\x00" * 64)
+    src = os.path.dirname(os.path.dirname(panoroom.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "panoroom.cli", "pointcloud", "--depth", str(pfm),
+         "--out", str(tmp_path / "o.ply")],
+        env=env, preexec_fn=_cap_address_space, capture_output=True, text=True, timeout=120,
+    )
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 2, proc.stderr
+    assert len(lines) == 1 and lines[0].startswith("error: pfm-truncated: "), lines
+    assert not (tmp_path / "o.ply").exists()

@@ -5,7 +5,11 @@ from hypothesis import given, settings, strategies as st
 from panoroom import (
     DepthMap,
     GridSpec,
+    NoiseSpec,
     SegMap,
+    background_mask,
+    corrupt_depth,
+    denoise_depth,
     derive_seg_labels,
     fuse_depth,
     gt_background_mask,
@@ -133,3 +137,85 @@ def test_labels_against_oracle_mask_with_foreground():
     disagree = labels != mask
     assert np.all(residual[disagree] < gamma)
     assert np.all(mask[disagree] == 0.0)
+
+
+# --- identity with the nested-where fuse and the out-of-place labels ---------
+
+
+def nested_where_fuse(coarse, background, seg):
+    """Reference: the blend, then a nested where over the four validity masks."""
+    c, b, p = coarse.values, background.values, seg.values
+    blended = b * p + c * (1.0 - p)
+    return np.where((c > 0) & (b > 0), blended, np.where(b > 0, b, np.where(c > 0, c, 0.0)))
+
+
+def reference_labels(gt, background, gamma):
+    residual = np.abs(gt.values - background.values)
+    return ((residual < gamma) & (gt.values > 0)).astype(np.float64)
+
+
+def salted_inputs(height):
+    """Generated scenes at ``height`` rows: a coarse map with 30% of its
+    pixels zeroed, a background render with its own holes, the oracle mask,
+    a random weight and the clean render."""
+    grid = GridSpec(width=2 * height, height=height)
+    rng = np.random.default_rng(height)
+    for seed in range(4):
+        scene = make_scene(seed, plan="rect" if seed % 2 else "lshape", boxes=(1, 3))
+        clean = raycast_depth(scene, grid, include_foreground=True)
+        coarse = corrupt_depth(clean, NoiseSpec(salt_frac=0.3, outlier_frac=0.1, seed=seed))
+        bg = raycast_depth(scene, grid, include_foreground=False).values.copy()
+        bg[rng.uniform(size=grid.shape) < 0.1] = 0.0
+        bg = DepthMap(grid=grid, values=bg)
+        for seg in (gt_background_mask(scene, grid),
+                    SegMap(grid=grid, values=rng.uniform(0, 1, grid.shape))):
+            yield coarse, bg, seg, clean
+
+
+@pytest.mark.parametrize("height", [32, 33, 64])
+def test_fuse_and_labels_match_reference(height):
+    for coarse, bg, seg, clean in salted_inputs(height):
+        got = fuse_depth(coarse, bg, seg).values
+        assert got.tobytes() == nested_where_fuse(coarse, bg, seg).tobytes()
+        for gt in (coarse, clean):
+            for gamma in (0.1, 2.0):
+                got = derive_seg_labels(gt, bg, gamma).values
+                assert got.tobytes() == reference_labels(gt, bg, gamma).tobytes()
+
+
+@pytest.mark.parametrize("where", ["coarse", "background", "both"])
+def test_fuse_signed_zero_gives_positive_zero(where):
+    c = np.full(GRID.shape, 2.0)
+    b = np.full(GRID.shape, 3.0)
+    b[0, :4] = 0.0
+    c[1, :4] = 0.0
+    if where in ("coarse", "both"):
+        c[::2, ::3] = -0.0
+    if where in ("background", "both"):
+        b[1::2, ::3] = -0.0
+        b[::2, ::6] = -0.0
+    coarse, bg = depth_of(c), depth_of(b)
+    for p in (0.0, 0.5, 1.0):
+        seg = seg_of(np.full(GRID.shape, p))
+        got = fuse_depth(coarse, bg, seg).values
+        assert got.tobytes() == nested_where_fuse(coarse, bg, seg).tobytes()
+        assert not np.signbit(got).any()
+
+
+def test_stage_outputs_are_read_only():
+    scene = make_scene(1, boxes=(1, 2))
+    gt = raycast_depth(scene, GRID, include_foreground=True)
+    bg = raycast_depth(scene, GRID, include_foreground=False)
+    seg = background_mask(gt, bg)
+    outputs = [
+        seg,
+        fuse_depth(gt, bg, seg),
+        derive_seg_labels(gt, bg),
+        denoise_depth(gt, bg, scene.room, GRID),
+    ]
+    for out in outputs:
+        assert out.grid == GRID and out.values.shape == GRID.shape
+        assert out.values.dtype == np.float64
+        assert not out.values.flags.writeable
+        with pytest.raises(ValueError):
+            out.values[0, 0] = 0.5

@@ -9,12 +9,19 @@ from panoroom import (
     FocalParams,
     GridSpec,
     LossWeights,
+    MetricsReport,
+    NoiseSpec,
     SegMap,
+    corrupt_depth,
     eval_metrics,
     focal_loss,
+    gt_background_mask,
+    raycast_depth,
     total_loss,
 )
 from panoroom.errors import NoValidSamplesError
+
+from conftest import make_scene
 
 TINY = GridSpec(width=2, height=1)
 
@@ -102,6 +109,67 @@ def test_report_json_nine_significant_digits():
     d = json.loads(m.to_json())
     assert set(d) == {"abs_rel", "sq_rel", "rmse", "mae", "delta1", "delta2", "delta3"}
     assert d["abs_rel"] == float(f"{m.abs_rel:.9g}")
+
+
+def gathered_eval(pred, gt, mask=None):
+    """Reference: gather the valid pixels, then one expression per metric."""
+    valid = gt.values > 0
+    if mask is not None:
+        valid &= mask.values >= 0.5
+    p = pred.values[valid]
+    g = gt.values[valid]
+    diff = p - g
+    with np.errstate(divide="ignore"):
+        ratio = np.maximum(p / g, g / p)
+    return MetricsReport(
+        abs_rel=float(np.mean(np.abs(diff) / g)),
+        sq_rel=float(np.mean(diff**2 / g)),
+        rmse=float(np.sqrt(np.mean(diff**2))),
+        mae=float(np.mean(np.abs(diff))),
+        delta1=float(np.mean(ratio < 1.25)),
+        delta2=float(np.mean(ratio < 1.25**2)),
+        delta3=float(np.mean(ratio < 1.25**3)),
+    )
+
+
+def same_report(a, b):
+    """Equal field by field, to the bit and the Python type."""
+    return all(
+        type(x) is type(y) and np.float64(x).tobytes() == np.float64(y).tobytes()
+        for x, y in zip(a.to_dict().values(), b.to_dict().values())
+    )
+
+
+@pytest.mark.parametrize("height", [32, 33, 64])
+def test_eval_matches_gathered_reference(height):
+    grid = GridSpec(width=2 * height, height=height)
+    for seed in range(4):
+        scene = make_scene(seed, plan="rect" if seed % 2 else "lshape", boxes=(1, 3))
+        clean = raycast_depth(scene, grid, include_foreground=True)
+        coarse = corrupt_depth(clean, NoiseSpec(salt_frac=0.3, outlier_frac=0.1, seed=seed))
+        mask = gt_background_mask(scene, grid)
+        cases = [
+            (coarse, clean, None),  # every pixel valid, some predictions 0
+            (clean, coarse, None),  # some pixels invalid
+            (coarse, clean, mask),
+            (clean, coarse, mask),
+        ]
+        for pred, gt, m in cases:
+            assert same_report(eval_metrics(pred, gt, m), gathered_eval(pred, gt, m)), seed
+
+
+def test_eval_matches_gathered_reference_at_the_thresholds():
+    # ratios exactly 1.25, 1.25**2 and 1.25**3 either way, and missing pixels
+    grid = GridSpec(width=64, height=32)
+    rng = np.random.default_rng(4)
+    gt = 2.0 ** rng.integers(-3, 4, grid.shape)
+    factors = np.array([0.0, 1.0, 1.25, 1.25**2, 1.25**3, 0.8, 0.64, 0.512, 3.0])
+    pred = gt * rng.choice(factors, grid.shape)
+    gt[::7, ::3] = 0.0
+    pred, gt = DepthMap(grid=grid, values=pred), DepthMap(grid=grid, values=gt)
+    report = eval_metrics(pred, gt)
+    assert report.delta1 < report.delta2 < report.delta3 < 1
+    assert same_report(report, gathered_eval(pred, gt))
 
 
 # --- focal loss -------------------------------------------------------------

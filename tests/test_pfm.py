@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from panoroom import formats
 from panoroom.equirect import GridSpec
 from panoroom.errors import PfmHeaderError, PfmMagicError, PfmTruncatedError, SchemaError
 from panoroom.formats import (
@@ -89,18 +90,58 @@ def test_bottom_to_top_row_order(tmp_path):
     assert floats == (3.0, 4.0, 1.0, 2.0)  # bottom row first
 
 
+def write_each_format(tmp_path):
+    paths = [tmp_path / "m.pfm", tmp_path / "d.json", tmp_path / "c.ply"]
+    write_pfm(np.ones((2, 4)), str(paths[0]))
+    write_json({"a": 1}, str(paths[1]))
+    write_ply_pointcloud(np.ones((2, 4)), GridSpec(width=4, height=2), str(paths[2]))
+    return paths
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
 def test_written_files_follow_umask(tmp_path, umask, mode):
-    paths = [tmp_path / "m.pfm", tmp_path / "d.json", tmp_path / "c.ply"]
     previous = os.umask(umask)
     try:
-        write_pfm(np.ones((2, 4)), str(paths[0]))
-        write_json({"a": 1}, str(paths[1]))
-        write_ply_pointcloud(np.ones((2, 4)), GridSpec(width=4, height=2), str(paths[2]))
+        paths = write_each_format(tmp_path)
     finally:
         os.umask(previous)
     for path in paths:
         assert stat.S_IMODE(path.stat().st_mode) == mode, path.name
+
+
+def test_umask_is_read_without_changing_it(tmp_path, monkeypatch):
+    with open(formats._PROC_STATUS, "rb") as f:
+        if not any(line.startswith(b"Umask:") for line in f):
+            pytest.skip("the process status reports no umask here")
+    previous = os.umask(0o027)
+
+    def umask_called(mask):
+        raise AssertionError("os.umask was called during a write")
+
+    try:
+        monkeypatch.setattr(os, "umask", umask_called)
+        paths = write_each_format(tmp_path)
+    finally:
+        monkeypatch.undo()
+        os.umask(previous)
+    for path in paths:
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640, path.name
+
+
+def test_umask_falls_back_without_the_status_line(tmp_path, monkeypatch):
+    status = tmp_path / "status"
+    status.write_bytes(b"Name:\tpython\nPid:\t1\n")
+    monkeypatch.setattr(formats, "_PROC_STATUS", str(status))
+    previous = os.umask(0o077)
+    try:
+        paths = write_each_format(tmp_path)
+        monkeypatch.setattr(formats, "_PROC_STATUS", str(tmp_path / "missing"))
+        paths += write_each_format(tmp_path)
+        assert os.umask(0o077) == 0o077  # restored after each read
+    finally:
+        os.umask(previous)
+    for path in paths:
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600, path.name
 
 
 def scene_doc():
