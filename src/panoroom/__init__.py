@@ -30,6 +30,7 @@ from .synth import (
     generate_scene,
     gt_background_mask,
     raycast_depth,
+    render_scene,
 )
 
 __version__ = "0.1.0"

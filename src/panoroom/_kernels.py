@@ -11,7 +11,9 @@ scene instead of testing every pixel against every surface:
   floor/ceiling point lies inside the room exactly when it comes before
   the ray's first wall crossing;
 * each box is slab-tested only inside a conservative row x column
-  footprint derived from its corner azimuths and latitude extremes.
+  footprint derived from its corner azimuths and latitude extremes, on a
+  copy of the shell, so one call yields both the room-only and the
+  foreground render.
 
 Geometry inputs are plain arrays:
 
@@ -131,8 +133,15 @@ def _slab_into(best, box, dx, dy, dz):
     np.copyto(best, tn, where=ok & (tn <= tf) & (tn > 0.0) & (tn < best))
 
 
-def raycast(edges, cam_down, cam_up, boxes, height, width, include_boxes):
-    """Radial distance to the first surface at every pixel centre, (H, W)."""
+def raycast(edges, cam_down, cam_up, boxes, height, width):
+    """Radial distance to the first surface at every pixel centre, (H, W).
+
+    Returns ``(shell, depth, footprints)``: the room shell alone, the shell
+    with ``boxes`` in front of it, and the (rows, cols) slices in which the
+    two may differ. Without boxes ``depth`` is ``shell`` itself and
+    ``footprints`` is empty; outside the footprints the two hold the same
+    bits.
+    """
     lat = (0.5 - (np.arange(height) + 0.5) / height)[:, None] * np.pi
     lon = (((np.arange(width) + 0.5) / width) * 2.0 - 1.0)[None, :] * np.pi
     cl = np.cos(lat)
@@ -154,20 +163,24 @@ def raycast(edges, cam_down, cam_up, boxes, height, width, include_boxes):
     ey_dx *= ey
     det -= ey_dx
     with np.errstate(divide="ignore", invalid="ignore"):
-        best = np.divide(ex * ay - ey * ax, det, out=det)
+        shell = np.divide(ex * ay - ey * ax, det, out=det)
         t_plane = np.where(dz < 0.0, -cam_down / dz, np.where(dz > 0.0, cam_up / dz, np.inf))
-    best[:, k < 0] = np.inf
-    np.minimum(best, t_plane, out=best)
+    shell[:, k < 0] = np.inf
+    np.minimum(shell, t_plane, out=shell)
 
-    if include_boxes:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for box in boxes:
-                rows, col_slices = _box_footprint(box, height, width)
-                for cols in col_slices:
-                    c = cl[rows]
-                    dirs = (c * cos_lon[:, cols], c * sin_lon[:, cols], dz[rows])
-                    _slab_into(best[rows, cols], box, *dirs)
-    return best
+    if len(boxes) == 0:
+        return shell, shell, []
+    depth = shell.copy()
+    footprints = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for box in boxes:
+            rows, col_slices = _box_footprint(box, height, width)
+            for cols in col_slices:
+                c = cl[rows]
+                dirs = (c * cos_lon[:, cols], c * sin_lon[:, cols], dz[rows])
+                _slab_into(depth[rows, cols], box, *dirs)
+                footprints.append((rows, cols))
+    return shell, depth, footprints
 
 
 def polygon_boundary_distance(edges, x, y):

@@ -54,13 +54,18 @@ class DepthMap:
         v = np.asarray(self.values, dtype=np.float64)
         if v.shape != self.grid.shape:
             raise ShapeMismatchError(f"depth values {v.shape} != grid {self.grid.shape}")
+        self._check(v)
+        v = v.copy()
+        v.flags.writeable = False
+        object.__setattr__(self, "values", v)
+
+    @staticmethod
+    def _check(v: np.ndarray) -> None:
+        """The value checks of public construction."""
         if not np.all(np.isfinite(v)):
             raise ValueRangeError("depth values must be finite")
         if np.any(v < 0):
             raise ValueRangeError("depth values must be >= 0")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
 
     _own = classmethod(_own_map)
 

@@ -28,14 +28,21 @@ def _grid_for(values: np.ndarray) -> GridSpec:
     return GridSpec(width=w, height=h)
 
 
+def _load(cls, path: str):
+    """A ``DepthMap`` or ``SegMap`` from a PFM, with every check of public
+    construction but not its copy: the widened array is already fresh."""
+    values = formats.read_pfm(path).astype(np.float64)
+    grid = _grid_for(values)
+    cls._check(values)
+    return cls._own(grid, values)
+
+
 def _load_depth(path: str) -> DepthMap:
-    values = formats.read_pfm(path)
-    return DepthMap(grid=_grid_for(values), values=values.astype(np.float64))
+    return _load(DepthMap, path)
 
 
 def _load_seg(path: str) -> SegMap:
-    values = formats.read_pfm(path)
-    return SegMap(grid=_grid_for(values), values=values.astype(np.float64))
+    return _load(SegMap, path)
 
 
 def _cmd_synth(args) -> int:
@@ -49,9 +56,7 @@ def _cmd_synth(args) -> int:
         scene = synth.generate_scene(scene_seed, config)
         scene_dir = os.path.join(args.out_dir, f"scene_{i:03d}")
         os.makedirs(scene_dir, exist_ok=True)
-        gt = synth.raycast_depth(scene, grid, include_foreground=True)
-        bg = synth.raycast_depth(scene, grid, include_foreground=False)
-        mask = synth.background_mask(gt, bg)
+        gt, bg, mask = synth.render_scene(scene, grid)
         layout = room_to_layout(scene.room, grid)
         formats.write_json(formats.scene_to_dict(scene), os.path.join(scene_dir, "scene.json"))
         formats.write_pfm(gt.values, os.path.join(scene_dir, "gt.pfm"))

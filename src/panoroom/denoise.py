@@ -31,8 +31,6 @@ DEFAULT_SLACK = 1.0  # meters
 # rooms and depths under ~1e4 m, so 1e-9 m keeps the test on the safe side.
 _MARGIN = 1e-9
 
-_NO_BOXES = np.empty((0, 6))
-
 
 def shell_outside_distance(room: ManhattanRoom, points: np.ndarray) -> np.ndarray:
     """Euclidean distance from 3D points to the closed room shell (0 inside)."""
@@ -58,8 +56,8 @@ def denoise_depth(
         raise ShapeMismatchError("depth map grid differs from requested grid")
 
     d = gt.values
-    t = _kernels.raycast(
-        room.edges, room.cam_to_floor, room.cam_to_ceil, _NO_BOXES, grid.height, grid.width, False
+    t, _, _ = _kernels.raycast(
+        room.edges, room.cam_to_floor, room.cam_to_ceil, (), grid.height, grid.width
     )
     t += slack - _MARGIN
     # written as "not kept" so that a NaN depth bound makes a candidate

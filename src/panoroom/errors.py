@@ -47,6 +47,13 @@ class NoValidSamplesError(PanoroomError):
     code = "no-valid-samples"
 
 
+class PlacementError(PanoroomError, RuntimeError):
+    """No camera position in a generated floor plan keeps the required wall
+    clearance and corner separation."""
+
+    code = "placement"
+
+
 class PfmError(PanoroomError):
     code = "pfm"
 

@@ -48,8 +48,9 @@ def _current_umask() -> int:
     return mask
 
 
-def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
-    """Write the concatenated ``chunks`` to ``path`` via a temp file + rename.
+def _atomic_write(path: str, chunks: Iterable) -> None:
+    """Write the concatenated ``chunks`` (bytes-like, e.g. C-contiguous
+    arrays) to ``path`` via a temp file + rename.
 
     If writing or producing a chunk fails, the temp file is removed and
     ``path`` keeps whatever it held before.
@@ -75,13 +76,15 @@ def _atomic_write_bytes(path: str, payload: bytes) -> None:
 
 def write_pfm(values: np.ndarray, path: str) -> None:
     """Write an H x W map as a little-endian grayscale PFM."""
-    arr = np.asarray(values, dtype=np.float32)
+    arr = np.asarray(values)
     if arr.ndim != 2:
         raise ValueError("PFM writer expects a 2D map")
     h, w = arr.shape
     header = f"Pf\n{w} {h}\n-1.0\n".encode("ascii")
-    payload = np.flipud(arr).astype("<f4").tobytes()
-    _atomic_write_bytes(path, header + payload)
+    # the only copy; order="C" because a transposed input would convert to
+    # Fortran order, whose buffer the file write rejects
+    payload = np.flipud(arr).astype("<f4", order="C")
+    _atomic_write(path, (header, payload))
 
 
 def _read_token(f) -> bytes:

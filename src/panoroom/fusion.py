@@ -29,11 +29,16 @@ class SegMap:
         v = np.asarray(self.values, dtype=np.float64)
         if v.shape != self.grid.shape:
             raise ShapeMismatchError(f"seg values {v.shape} != grid {self.grid.shape}")
-        if np.any(v < 0) or np.any(v > 1) or not np.all(np.isfinite(v)):
-            raise ValueRangeError("segmentation values must lie in [0, 1]")
+        self._check(v)
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
+
+    @staticmethod
+    def _check(v: np.ndarray) -> None:
+        """The value checks of public construction."""
+        if np.any(v < 0) or np.any(v > 1) or not np.all(np.isfinite(v)):
+            raise ValueRangeError("segmentation values must lie in [0, 1]")
 
     _own = classmethod(_own_map)
 

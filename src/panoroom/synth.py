@@ -15,7 +15,7 @@ import numpy as np
 from . import _kernels
 from .bgdepth import DepthMap, require_same_grid
 from .equirect import GridSpec
-from .errors import ValueRangeError
+from .errors import PlacementError, ValueRangeError
 from .fusion import SegMap
 from .layout import ManhattanRoom, _segments_intersect
 
@@ -143,7 +143,7 @@ def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneSpec:
         cam = candidate
         break
     if cam is None:
-        raise RuntimeError(f"could not place a camera for seed {seed}")
+        raise PlacementError(f"could not place a camera for seed {seed}")
 
     verts = verts - cam
     room = ManhattanRoom(verts, cam_to_floor=cam_to_floor, cam_to_ceil=cam_to_ceil)
@@ -179,23 +179,53 @@ def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneSpec:
     return SceneSpec(room=room, boxes=np.array(boxes, dtype=np.float64).reshape(-1, 6), seed=int(seed))
 
 
+def _render(scene: SceneSpec, grid: GridSpec, boxes):
+    """One shell pass: ``_kernels.raycast``'s (shell, depth, footprints)."""
+    room = scene.room
+    shell, depth, footprints = _kernels.raycast(
+        room.edges, room.cam_to_floor, room.cam_to_ceil, boxes, grid.height, grid.width
+    )
+    # A box entry lies in (0, shell), so only the shell can hold inf or NaN;
+    # shell distances are positive by construction.
+    if not np.isfinite(shell).all():
+        raise ValueRangeError("depth values must be finite")
+    return shell, depth, footprints
+
+
 def raycast_depth(scene: SceneSpec, grid: GridSpec, include_foreground: bool = True) -> DepthMap:
     """Exact radial distance to the first surface hit at every pixel center."""
-    values = _kernels.raycast(
-        scene.room.edges,
-        scene.room.cam_to_floor,
-        scene.room.cam_to_ceil,
-        scene.boxes,
-        grid.height,
-        grid.width,
-        bool(include_foreground),
-    )
-    return DepthMap(grid=grid, values=values)
+    boxes = scene.boxes if include_foreground else ()
+    _, depth, _ = _render(scene, grid, boxes)
+    return DepthMap._own(grid, depth)
+
+
+def _check_eps(eps: float) -> None:
+    # the footprint-only mask of render_scene holds only for eps >= 0
+    if not eps >= 0:
+        raise ValueRangeError(f"eps must be >= 0, got {eps}")
+
+
+def render_scene(
+    scene: SceneSpec, grid: GridSpec, eps: float = 1e-6
+) -> tuple[DepthMap, DepthMap, SegMap]:
+    """The renders with and without foreground, and their background mask,
+    from one shell pass.
+
+    The mask equals ``background_mask(gt, bg, eps)``: the renders hold the
+    same bits outside the box footprints, so only those are compared.
+    """
+    _check_eps(eps)
+    shell, depth, footprints = _render(scene, grid, scene.boxes)
+    mask = np.ones(grid.shape)
+    for rows, cols in footprints:
+        mask[rows, cols] = np.abs(depth[rows, cols] - shell[rows, cols]) <= eps
+    return DepthMap._own(grid, depth), DepthMap._own(grid, shell), SegMap._own(grid, mask)
 
 
 def background_mask(with_fg: DepthMap, without_fg: DepthMap, eps: float = 1e-6) -> SegMap:
     """1 where two renders of one scene, with and without foreground, agree
     within eps."""
+    _check_eps(eps)
     grid = require_same_grid(with_fg, without_fg)
     agree = np.abs(with_fg.values - without_fg.values) <= eps
     return SegMap._own(grid, agree.astype(np.float64))
@@ -203,9 +233,7 @@ def background_mask(with_fg: DepthMap, without_fg: DepthMap, eps: float = 1e-6) 
 
 def gt_background_mask(scene: SceneSpec, grid: GridSpec, eps: float = 1e-6) -> SegMap:
     """1 where renders with and without foreground agree within eps."""
-    with_fg = raycast_depth(scene, grid, include_foreground=True)
-    without_fg = raycast_depth(scene, grid, include_foreground=False)
-    return background_mask(with_fg, without_fg, eps)
+    return render_scene(scene, grid, eps)[2]
 
 
 def corrupt_depth(depth: DepthMap, noise: NoiseSpec) -> DepthMap:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import panoroom
+from panoroom import cli, synth
 from panoroom.cli import main
 from panoroom.formats import read_pfm, write_pfm
 
@@ -297,3 +298,20 @@ def test_huge_pfm_header_on_a_tiny_file(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert len(lines) == 1 and lines[0].startswith("error: pfm-truncated: "), lines
     assert not (tmp_path / "o.ply").exists()
+
+
+def test_camera_placement_failure_is_placement(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(synth, "CAMERA_WALL_CLEARANCE", 100.0)
+    rc = run(["synth", "--seed", 0, "--count", 1, "--out-dir", tmp_path / "s", "--height", 16])
+    assert_one_error_line(capsys, rc, "placement")
+
+
+def test_loaded_maps_are_read_only_float64(tmp_path):
+    values = np.linspace(0.0, 1.0, 32, dtype=np.float32).reshape(4, 8)
+    path = tmp_path / "m.pfm"
+    write_pfm(values, str(path))
+    for load in (cli._load_depth, cli._load_seg):
+        loaded = load(str(path))
+        assert loaded.grid.shape == (4, 8)
+        assert loaded.values.dtype == np.float64 and not loaded.values.flags.writeable
+        assert np.array_equal(loaded.values, values)

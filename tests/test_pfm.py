@@ -167,3 +167,40 @@ def test_scene_schema_errors(edit):
     edit(doc)
     with pytest.raises(SchemaError):
         scene_from_dict(doc)
+
+
+def _parent_pfm_bytes(values):
+    """The bytes of the original writer: float32 cast, flip, ``<f4`` cast,
+    ``tobytes`` and one concatenation."""
+    arr = np.asarray(values, dtype=np.float32)
+    h, w = arr.shape
+    return f"Pf\n{w} {h}\n-1.0\n".encode("ascii") + np.flipud(arr).astype("<f4").tobytes()
+
+
+_RNG_VALUES = np.random.default_rng(7).uniform(-1e3, 1e3, size=(12, 24))
+_RNG_VALUES[0, :4] = [0.0, -0.0, 1e-40, 3.4e38]  # signed zero, subnormal, near float32 max
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        _RNG_VALUES,
+        _RNG_VALUES.astype(np.float32),
+        _RNG_VALUES.astype(">f4"),
+        _RNG_VALUES.T,
+        _RNG_VALUES[1::3, ::-2],
+        np.array([[1.5, -2.25]]),
+    ],
+    ids=["float64", "float32", "big-endian", "transposed", "strided", "1x2"],
+)
+def test_write_pfm_bytes_match_the_copying_writer(tmp_path, values):
+    path = tmp_path / "m.pfm"
+    write_pfm(values, str(path))
+    assert path.read_bytes() == _parent_pfm_bytes(values)
+
+
+@pytest.mark.parametrize("shape", [(8,), (2, 4, 1)])
+def test_write_pfm_rejects_non_2d(tmp_path, shape):
+    with pytest.raises(ValueError, match="2D"):
+        write_pfm(np.zeros(shape), str(tmp_path / "m.pfm"))
+    assert not (tmp_path / "m.pfm").exists()

@@ -12,7 +12,15 @@ import math
 import numpy as np
 import pytest
 
-from panoroom import GridSpec, ManhattanRoom, SceneConfig, SceneSpec, generate_scene, raycast_depth
+from panoroom import (
+    GridSpec,
+    ManhattanRoom,
+    SceneConfig,
+    SceneSpec,
+    generate_scene,
+    raycast_depth,
+    render_scene,
+)
 
 TOL = 1e-12  # m
 
@@ -81,6 +89,9 @@ def assert_matches_brute_force(scene, grid):
     got_bg = raycast_depth(scene, grid, include_foreground=False).values
     np.testing.assert_allclose(got_bg, bg, rtol=0, atol=TOL)
     np.testing.assert_allclose(got_fg, fg, rtol=0, atol=TOL)
+    one_pass_fg, one_pass_bg, _ = render_scene(scene, grid)
+    np.testing.assert_allclose(one_pass_bg.values, bg, rtol=0, atol=TOL)
+    np.testing.assert_allclose(one_pass_fg.values, fg, rtol=0, atol=TOL)
     return fg, bg
 
 

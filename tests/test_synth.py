@@ -12,8 +12,12 @@ from panoroom import (
     generate_scene,
     gt_background_mask,
     raycast_depth,
+    render_scene,
 )
-from panoroom.errors import ShapeMismatchError
+from panoroom import synth
+from panoroom.errors import PanoroomError, PlacementError, ShapeMismatchError, ValueRangeError
+from panoroom.layout import ManhattanRoom
+from panoroom.synth import SceneSpec
 from panoroom.formats import scene_to_dict
 from panoroom._kernels import _point_in_polygon
 
@@ -170,3 +174,115 @@ def test_corrupt_fraction_counts():
     assert abs(displaced / n - 0.10) < 0.01
     # disjoint pixel sets
     assert salted + displaced == int(np.sum(noisy.values != depth.values))
+
+
+def test_camera_placement_failure_is_coded(monkeypatch):
+    monkeypatch.setattr(synth, "CAMERA_WALL_CLEARANCE", 100.0)
+    with pytest.raises(PlacementError) as info:
+        generate_scene(0)
+    assert isinstance(info.value, PanoroomError) and info.value.code == "placement"
+
+
+# --- render_scene against two full renders and the full-grid mask ----------
+
+_ROOM = ManhattanRoom(
+    np.array([(-3.0, -2.5), (4.0, -2.5), (4.0, 3.0), (-3.0, 3.0)]), cam_to_floor=1.5, cam_to_ceil=1.2
+)
+_SEAM = (-2.5, -0.4, -1.5, -1.5, 0.3, -0.5)  # behind the camera, across lon = +-pi
+_UNDER = (-0.6, -0.4, -1.5, 0.5, 0.7, -0.8)  # xy rectangle holds the origin: all columns
+_NEAR = (1.0, -0.5, -1.5, 2.0, 0.5, 0.5)
+_BEHIND = (2.5, 0.0, -1.5, 3.5, 1.0, 0.8)  # its footprint overlaps _NEAR's
+HAND_BUILT = {
+    "seam": [_SEAM],
+    "under": [_UNDER],
+    "overlap": [_NEAR, _BEHIND],
+    "overlap-far-first": [_BEHIND, _NEAR],
+    "all": [_BEHIND, _SEAM, _NEAR, _UNDER],
+}
+
+
+def _reference(scene, grid, eps):
+    gt = raycast_depth(scene, grid, include_foreground=True)
+    bg = raycast_depth(scene, grid, include_foreground=False)
+    return gt, bg, background_mask(gt, bg, eps)
+
+
+def _assert_same_bits(scene, grid, eps):
+    got = render_scene(scene, grid, eps)
+    want = _reference(scene, grid, eps)
+    for g, w in zip(got, want):
+        assert g.grid == grid and g.values.dtype == np.float64
+        assert g.values.tobytes() == w.values.tobytes()
+        assert not g.values.flags.writeable
+    return got
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-6, np.inf], ids=["0", "1e-6", "inf"])
+@pytest.mark.parametrize("height", [32, 33, 64])
+def test_render_scene_matches_generated_scenes(height, eps):
+    grid = GridSpec(width=2 * height, height=height)
+    box_counts = set()
+    masked = 0
+    for seed in range(12):
+        plan = "rect" if seed % 2 == 0 else "lshape"
+        scene = generate_scene(600 + seed, SceneConfig(plan=plan, box_count_range=(0, 4)))
+        box_counts.add(len(scene.boxes))
+        _, _, mask = _assert_same_bits(scene, grid, eps)
+        masked += int(np.sum(mask.values == 0.0))
+    assert box_counts == {0, 1, 2, 3, 4}
+    assert (masked > 0) == (eps < np.inf)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-6, np.inf], ids=["0", "1e-6", "inf"])
+@pytest.mark.parametrize("height", [32, 33, 64])
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_render_scene_matches_hand_built_boxes(name, height, eps):
+    grid = GridSpec(width=2 * height, height=height)
+    scene = SceneSpec(room=_ROOM, boxes=np.array(HAND_BUILT[name]), seed=0)
+    gt, bg, mask = _assert_same_bits(scene, grid, eps)
+    hidden = gt.values < bg.values
+    if name in ("seam", "all"):
+        assert hidden[:, 0].any() and hidden[:, -1].any()
+    if name in ("under", "all"):
+        assert hidden[-1].all()
+    if eps == 0.0:
+        assert np.array_equal(mask.values == 0.0, hidden)
+
+
+def test_render_scene_without_boxes_shares_one_map():
+    gt, bg, mask = render_scene(make_scene(2), GRID)
+    assert gt.values is bg.values and not gt.values.flags.writeable
+    assert np.all(mask.values == 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_non_finite_shell_is_value_range(monkeypatch, bad):
+    real = synth._kernels.raycast
+
+    def leaky(*args):
+        shell, depth, footprints = real(*args)
+        shell[5, 7] = bad
+        return shell, depth, footprints
+
+    monkeypatch.setattr(synth._kernels, "raycast", leaky)
+    scene = make_scene(17, boxes=(2, 4))
+    for render in (render_scene, raycast_depth, gt_background_mask):
+        with pytest.raises(ValueRangeError, match="depth values must be finite"):
+            render(scene, GRID)
+
+
+def _held_mask(scene, grid, eps):
+    gt = raycast_depth(scene, grid, include_foreground=True)
+    bg = raycast_depth(scene, grid, include_foreground=False)
+    return background_mask(gt, bg, eps)
+
+
+@pytest.mark.parametrize("eps", [-1e-6, -np.inf, np.nan], ids=["negative", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "make_mask",
+    [render_scene, _held_mask, gt_background_mask],
+    ids=["render_scene", "background_mask", "gt_background_mask"],
+)
+def test_mask_rejects_negative_or_nan_eps(make_mask, eps):
+    with pytest.raises(ValueRangeError, match="eps"):
+        make_mask(make_scene(17, boxes=(2, 4)), GRID, eps)

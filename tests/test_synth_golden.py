@@ -1,0 +1,64 @@
+"""Recorded sha256 digests of the five files ``panoroom synth`` writes.
+
+The other tests compare two runs of one commit; these digests were taken
+from the two-render ``synth`` (one ray-cast with and one without boxes, the
+mask over the full grid, the copying PFM writer) and catch any drift of the
+output bytes across commits.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from panoroom.cli import main
+
+NAMES = ("scene.json", "gt.pfm", "bg_gt.pfm", "layout.json", "segmask.pfm")
+
+# (height, plan, --boxes, seed) -> number of boxes placed, digests in NAMES order
+GOLDEN = {
+    (32, "rect", (0, 0), 11): (0, (
+        "fec25223d9bb9e0b67b5e616170b5e08b997a951f60743fdfe6fca749b4ebd27",
+        "599173d17f995a159842c54d2bd384ada20eb6d39513d8d2d2b8ff115b06f3a1",
+        "599173d17f995a159842c54d2bd384ada20eb6d39513d8d2d2b8ff115b06f3a1",
+        "fb9c79002a28785bcba8de8958531a7a8f1460821b022e6da29b28ee1c994a70",
+        "46d3eecfb940bac1f7138bd829a855f2355bb42ff4d99ff8e29261fcaef8ac83",
+    )),
+    (33, "rect", (2, 4), 12): (4, (
+        "b0518af88c409fea2ca28c43197cc526841ff6b7e1db0fcb9dd732aca3b4d0cd",
+        "defc3daea7ea34b08d56649def0d84695da659e8ffe9b07f101f546013c4e8cb",
+        "46e7b46ff7a3cdefed6409249e1dfae7530e5335c4edc85bfb57303a08d7bbdd",
+        "0c385c9383e0954a28009462161ba86c83ea43d62ad9f3d04397ad0cd929a35f",
+        "a7d441890d89a26c07f3a52750c587467b1a90af50a4b6e31c928c0d26d5ac56",
+    )),
+    (32, "lshape", (2, 4), 13): (4, (
+        "ce10fbc3f6de8d8bc4e914952dffd8c2381ef461072a25525ef3918fea171652",
+        "23c8764abee62369850b9ea48633527f9a8c7b8e3be1527aa446dc6d885fb86b",
+        "8bf29335177261dd415ddcc6323d415d214702ba5474e51fb125abfa59878fee",
+        "8f4edd6007e4e91d176600fe56701e10e44962e5a205e6a1bf40c4ec0dae4ca0",
+        "3df27bb0e56f72b4ee641a8e26485f95a0e62a2bad427cc3164cd77ada5f182f",
+    )),
+    (33, "lshape", (0, 0), 14): (0, (
+        "e81b99b28a9b718372b5d5c83f5218b11d97231cb622bc585ab0e6b048f8b175",
+        "89812d635136c12665602420763ef9fe906fa414027d1aa7b7f646235f5a30db",
+        "89812d635136c12665602420763ef9fe906fa414027d1aa7b7f646235f5a30db",
+        "053bfc75a1b029c2df3b2a154abfc3e3dc192a26b8ac9c63e3ea032d98db6ff3",
+        "0110b9f48017d736c4a74cc17135949ce9a7e5db15605e05416167af94b32e96",
+    )),
+}
+
+
+@pytest.mark.parametrize(
+    "case", sorted(GOLDEN), ids=lambda c: f"H{c[0]}-{c[1]}-boxes{c[2][0]}-{c[2][1]}"
+)
+def test_synth_files_match_recorded_digests(tmp_path, case):
+    height, plan, (lo, hi), seed = case
+    n_boxes, digests = GOLDEN[case]
+    argv = ["synth", "--seed", str(seed), "--count", "1", "--plan", plan,
+            "--out-dir", str(tmp_path), "--height", str(height), "--boxes", str(lo), str(hi)]
+    assert main(argv) == 0
+    scene_dir = tmp_path / "scene_000"
+    assert len(json.loads((scene_dir / "scene.json").read_text())["boxes"]) == n_boxes
+    got = tuple(hashlib.sha256((scene_dir / n).read_bytes()).hexdigest() for n in NAMES)
+    assert dict(zip(NAMES, got)) == dict(zip(NAMES, digests))
