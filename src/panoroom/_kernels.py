@@ -29,22 +29,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .equirect import lat_to_row, lon_to_col, pixel_center_lats, pixel_center_lons, wrap_angle
+
 # Read by the benchmark's environment report; there is no compiled backend.
 USE_NUMBA = False
 
 
-def _point_in_polygon(edges, px, py):
-    """Even-odd test of one point (scalar callers)."""
-    inside = False
-    for ax, ay, bx, by in edges:
-        if (ay > py) != (by > py):
-            xint = ax + (py - ay) * (bx - ax) / (by - ay)
-            if px < xint:
-                inside = not inside
-    return inside
-
-
-def _points_in_polygon_np(edges, px, py):
+def _points_in_polygon(edges, px, py):
+    """Even-odd test of points (px, py), scalars or arrays."""
     inside = np.zeros(np.shape(px), dtype=bool)
     for ax, ay, bx, by in edges:
         cond = (ay > py) != (by > py)
@@ -80,21 +72,21 @@ def boundary_range(edges, azimuths):
     return _first_crossing(edges, np.cos(azimuths), np.sin(azimuths))[0]
 
 
-def _column_slices(lo_lon, hi_lon, width):
+def _column_slices(lo_lon, hi_lon, grid):
     """Columns whose centre longitude may lie in [lo_lon, hi_lon], with one
     column of margin on each side, as one or two slices (split at the seam)."""
-    c0 = int(np.floor((lo_lon + np.pi) / (2.0 * np.pi) * width - 0.5)) - 1
-    c1 = int(np.ceil((hi_lon + np.pi) / (2.0 * np.pi) * width - 0.5)) + 1
-    if c1 - c0 + 1 >= width:
-        return [slice(0, width)]
-    c0 %= width
-    c1 %= width
+    c0 = int(np.floor(lon_to_col(lo_lon, grid) - 0.5)) - 1
+    c1 = int(np.ceil(lon_to_col(hi_lon, grid) - 0.5)) + 1
+    if c1 - c0 + 1 >= grid.width:
+        return [slice(0, grid.width)]
+    c0 %= grid.width
+    c1 %= grid.width
     if c0 <= c1:
         return [slice(c0, c1 + 1)]
-    return [slice(c0, width), slice(0, c1 + 1)]
+    return [slice(c0, grid.width), slice(0, c1 + 1)]
 
 
-def _box_footprint(box, height, width):
+def _box_footprint(box, grid):
     """Conservative row slice and column slices of the pixels whose rays can
     hit ``box``."""
     x0, y0, z0, x1, y1, z1 = box
@@ -103,17 +95,17 @@ def _box_footprint(box, height, width):
     rmax = np.hypot(max(-x0, x1), max(-y0, y1))
     lat_hi = np.arctan2(z1, rmin if z1 >= 0.0 else rmax)
     lat_lo = np.arctan2(z0, rmin if z0 <= 0.0 else rmax)
-    r0 = max(int(np.floor((0.5 - lat_hi / np.pi) * height - 0.5)) - 1, 0)
-    r1 = min(int(np.ceil((0.5 - lat_lo / np.pi) * height - 0.5)) + 1, height - 1)
+    r0 = max(int(np.floor(lat_to_row(lat_hi, grid) - 0.5)) - 1, 0)
+    r1 = min(int(np.ceil(lat_to_row(lat_lo, grid) - 0.5)) + 1, grid.height - 1)
     rows = slice(r0, r1 + 1)
 
     if x0 <= 0.0 <= x1 and y0 <= 0.0 <= y1:
-        return rows, [slice(0, width)]
+        return rows, [slice(0, grid.width)]
     # The rectangle misses the origin, so its corners span an arc under pi:
     # azimuths relative to one corner give that arc even across the seam.
     az = np.arctan2([y0, y0, y1, y1], [x0, x1, x0, x1])
-    rel = (az - az[0] + np.pi) % (2.0 * np.pi) - np.pi
-    return rows, _column_slices(az[0] + rel.min(), az[0] + rel.max(), width)
+    rel = wrap_angle(az - az[0])
+    return rows, _column_slices(az[0] + rel.min(), az[0] + rel.max(), grid)
 
 
 def _slab_into(best, box, dx, dy, dz):
@@ -133,7 +125,7 @@ def _slab_into(best, box, dx, dy, dz):
     np.copyto(best, tn, where=ok & (tn <= tf) & (tn > 0.0) & (tn < best))
 
 
-def raycast(edges, cam_down, cam_up, boxes, height, width):
+def raycast(edges, cam_down, cam_up, boxes, grid):
     """Radial distance to the first surface at every pixel centre, (H, W).
 
     Returns ``(shell, depth, footprints)``: the room shell alone, the shell
@@ -142,8 +134,8 @@ def raycast(edges, cam_down, cam_up, boxes, height, width):
     ``footprints`` is empty; outside the footprints the two hold the same
     bits.
     """
-    lat = (0.5 - (np.arange(height) + 0.5) / height)[:, None] * np.pi
-    lon = (((np.arange(width) + 0.5) / width) * 2.0 - 1.0)[None, :] * np.pi
+    lat = pixel_center_lats(grid)[:, None]
+    lon = pixel_center_lons(grid)[None, :]
     cl = np.cos(lat)
     cos_lon = np.cos(lon)
     sin_lon = np.sin(lon)
@@ -174,7 +166,7 @@ def raycast(edges, cam_down, cam_up, boxes, height, width):
     footprints = []
     with np.errstate(divide="ignore", invalid="ignore"):
         for box in boxes:
-            rows, col_slices = _box_footprint(box, height, width)
+            rows, col_slices = _box_footprint(box, grid)
             for cols in col_slices:
                 c = cl[rows]
                 dirs = (c * cos_lon[:, cols], c * sin_lon[:, cols], dz[rows])
@@ -201,6 +193,6 @@ def shell_outside_distance(edges, cam_down, cam_up, points):
     y = points[:, 1]
     z = points[:, 2]
     dv = np.maximum(np.maximum(z - cam_up, -cam_down - z), 0.0)
-    inside = _points_in_polygon_np(edges, x, y)
+    inside = _points_in_polygon(edges, x, y)
     dh = np.where(inside, 0.0, polygon_boundary_distance(edges, x, y))
     return np.hypot(dh, dv)

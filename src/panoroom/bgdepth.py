@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equirect import GridSpec, pixel_center_lats
+from .equirect import GridSpec, pixel_center_lats, row_to_lat
 from .errors import NoValidSamplesError, ShapeMismatchError, ValueRangeError
 from .layout import CameraHeights, LayoutMap
 
@@ -81,18 +81,12 @@ def require_same_grid(*maps) -> GridSpec:
 # --- scalar/array depth formulas (shared by the map renderer and tests) ---
 
 
-def floor_depth(lat_mag, down: float, mode: str = "exact"):
-    """Radial floor depth at |lat| below the horizon."""
+def cap_depth(lat_mag, height: float, mode: str = "exact"):
+    """Radial depth of a horizontal plane (floor or ceiling) ``height`` from
+    the camera, at ``lat_mag`` = |lat| towards it from the horizon."""
     if mode == "exact":
-        return down / np.sin(lat_mag)
-    return down / np.asarray(lat_mag, dtype=np.float64)
-
-
-def ceiling_depth(lat_mag, up: float, mode: str = "exact"):
-    """Radial ceiling depth at |lat| above the horizon."""
-    if mode == "exact":
-        return up / np.sin(lat_mag)
-    return up / np.asarray(lat_mag, dtype=np.float64)
+        return height / np.sin(lat_mag)
+    return height / np.asarray(lat_mag, dtype=np.float64)
 
 
 def wall_depth(lat, wall_range, mode: str = "exact"):
@@ -168,7 +162,7 @@ def _walk_to_valid(v: np.ndarray, start: np.ndarray, step: int) -> np.ndarray:
         rows[k] += step
 
 
-def _row_sines(rows: np.ndarray, h: int, sign: float) -> np.ndarray:
+def _row_sines(rows: np.ndarray, grid: GridSpec, sign: float) -> np.ndarray:
     """``np.sin(sign * lat)`` at each pixel-center row in ``rows``.
 
     Each distinct row is one scalar ``np.sin`` call, so the bits match a
@@ -176,7 +170,7 @@ def _row_sines(rows: np.ndarray, h: int, sign: float) -> np.ndarray:
     path that rounds differently on some hosts.
     """
     distinct, where = np.unique(rows, return_inverse=True)
-    lats = [(0.5 - (i + 0.5) / h) * np.pi for i in distinct.tolist()]
+    lats = row_to_lat(distinct + 0.5, grid).tolist()
     return np.array([np.sin(sign * lat) for lat in lats], dtype=np.float64)[where]
 
 
@@ -188,7 +182,6 @@ def _column_estimates_interior(layout, coarse, grid):
     recovers the heights to machine precision on clean maps. Invalid pixels
     are skipped by walking further into the region.
     """
-    h = grid.height
     v = coarse.values
     estimates = []
     # last center above the ceiling boundary, first center below the floor
@@ -198,8 +191,8 @@ def _column_estimates_interior(layout, coarse, grid):
     ):
         rows = _walk_to_valid(v, start, step)
         est = np.full(grid.width, np.nan)
-        (cols,) = np.nonzero((rows >= 0) & (rows < h))
-        est[cols] = v[rows[cols], cols] * _row_sines(rows[cols], h, sign)
+        (cols,) = np.nonzero((rows >= 0) & (rows < grid.height))
+        est[cols] = v[rows[cols], cols] * _row_sines(rows[cols], grid, sign)
         estimates.append(est)
     return tuple(estimates)
 
@@ -208,15 +201,15 @@ def _column_estimates_boundary(layout, coarse, grid):
     """Per-column estimates from bilinear samples at the boundary rows."""
     up = np.full(grid.width, np.nan)
     down = np.full(grid.width, np.nan)
+    phi_c = row_to_lat(layout.ceil_rows, grid)
+    phi_f = -row_to_lat(layout.floor_rows, grid)
     for col in range(grid.width):
-        phi_c = (0.5 - layout.ceil_rows[col] / grid.height) * np.pi
-        phi_f = (layout.floor_rows[col] / grid.height - 0.5) * np.pi
         d_c = sample_bilinear(coarse.values, layout.ceil_rows[col], col + 0.5)
         d_f = sample_bilinear(coarse.values, layout.floor_rows[col], col + 0.5)
         if d_c > 0.0:
-            up[col] = d_c * np.sin(phi_c)
+            up[col] = d_c * np.sin(phi_c[col])
         if d_f > 0.0:
-            down[col] = d_f * np.sin(phi_f)
+            down[col] = d_f * np.sin(phi_f[col])
     return up, down
 
 
@@ -242,7 +235,7 @@ def resolve_camera_heights(
     elif sampling == "boundary":
         up, down = _column_estimates_boundary(layout, coarse, grid)
     else:
-        raise ValueError(f"unknown sampling {sampling!r}")
+        raise ValueRangeError(f"sampling must be 'interior' or 'boundary', got {sampling!r}")
 
     if isinstance(aggregator, (int, np.integer)):
         col = int(aggregator)
@@ -252,7 +245,7 @@ def resolve_camera_heights(
 
     reduce = {"median": np.median, "mean": np.mean}.get(aggregator)
     if reduce is None:
-        raise ValueError(f"unknown aggregator {aggregator!r}")
+        raise ValueRangeError(f"aggregator must be 'median', 'mean' or an int, got {aggregator!r}")
     up_valid = up[np.isfinite(up)]
     down_valid = down[np.isfinite(down)]
     if len(up_valid) == 0 or len(down_valid) == 0:
@@ -268,17 +261,17 @@ def resolve_background_depth(
 ) -> DepthMap:
     """Per-pixel distance to the room shell implied by the layout."""
     if mode not in RESOLVE_MODES:
-        raise ValueError(f"mode must be one of {RESOLVE_MODES}, got {mode!r}")
+        raise ValueRangeError(f"mode must be one of {RESOLVE_MODES}, got {mode!r}")
     layout.validate_against(grid)
     lat = pixel_center_lats(grid)[:, None]
 
-    phi_f = (layout.floor_rows / grid.height - 0.5) * np.pi
+    phi_f = -row_to_lat(layout.floor_rows, grid)
     wall_range = heights.down / np.tan(phi_f)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         out = wall_depth(lat, wall_range[None, :], mode)
-        d_ceil = ceiling_depth(lat, heights.up, mode)
-        d_floor = floor_depth(-lat, heights.down, mode)
+        d_ceil = cap_depth(lat, heights.up, mode)
+        d_floor = cap_depth(-lat, heights.down, mode)
     ceiling, floor = _cap_masks(layout, grid)
     np.copyto(out, d_ceil, where=ceiling)
     np.copyto(out, d_floor, where=floor)

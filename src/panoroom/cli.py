@@ -186,7 +186,7 @@ def main(argv=None) -> int:
     except PanoroomError as e:
         print(f"error: {e.code}: {e}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as e:
+    except OSError as e:
         print(f"error: io: {e}", file=sys.stderr)
         return 2
 

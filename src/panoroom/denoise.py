@@ -56,9 +56,7 @@ def denoise_depth(
         raise ShapeMismatchError("depth map grid differs from requested grid")
 
     d = gt.values
-    t, _, _ = _kernels.raycast(
-        room.edges, room.cam_to_floor, room.cam_to_ceil, (), grid.height, grid.width
-    )
+    t, _, _ = _kernels.raycast(room.edges, room.cam_to_floor, room.cam_to_ceil, (), grid)
     t += slack - _MARGIN
     # written as "not kept" so that a NaN depth bound makes a candidate
     flat = np.flatnonzero(~(d <= t))

@@ -1,6 +1,8 @@
 """Equirectangular pixel <-> spherical angle <-> 3D ray conversions.
 
-Conventions used everywhere in this package:
+Conventions used everywhere in this package, whose only pixel <-> angle
+formulas are :func:`row_to_lat`, :func:`lat_to_row`, :func:`col_to_lon` and
+:func:`lon_to_col`:
 
 * images are H rows by W columns with W = 2H;
 * continuous pixel coordinates: row in [0, H] increases downward,
@@ -52,6 +54,26 @@ class Ray(NamedTuple):
     dir: np.ndarray
 
 
+def row_to_lat(row, grid: GridSpec):
+    """Latitude of continuous pixel row(s); no range check."""
+    return (0.5 - row / grid.height) * np.pi
+
+
+def lat_to_row(lat, grid: GridSpec):
+    """Continuous pixel row of latitude(s); inverse of :func:`row_to_lat`."""
+    return (0.5 - lat / np.pi) * grid.height
+
+
+def col_to_lon(col, grid: GridSpec):
+    """Longitude of continuous pixel column(s); no range check."""
+    return (col / grid.width) * 2.0 * np.pi - np.pi
+
+
+def lon_to_col(lon, grid: GridSpec):
+    """Continuous pixel column of longitude(s); inverse of :func:`col_to_lon`."""
+    return (lon + np.pi) / (2.0 * np.pi) * grid.width
+
+
 def pixel_to_angles(row, col, grid: GridSpec) -> SphereAngles:
     """Map continuous pixel coordinates to (lat, lon); accepts arrays."""
     row = np.asarray(row, dtype=np.float64)
@@ -60,17 +82,13 @@ def pixel_to_angles(row, col, grid: GridSpec) -> SphereAngles:
         raise CoordinateRangeError(
             f"pixel coordinates outside [0,{grid.height}]x[0,{grid.width}]"
         )
-    lat = (0.5 - row / grid.height) * np.pi
-    lon = (col / grid.width) * 2.0 * np.pi - np.pi
-    return SphereAngles(lat[()], lon[()])
+    return SphereAngles(row_to_lat(row, grid)[()], col_to_lon(col, grid)[()])
 
 
 def angles_to_pixel(a: SphereAngles, grid: GridSpec):
     """Inverse of :func:`pixel_to_angles` (exact, no rounding)."""
-    lat = np.asarray(a[0], dtype=np.float64)
-    lon = np.asarray(a[1], dtype=np.float64)
-    row = (0.5 - lat / np.pi) * grid.height
-    col = (lon + np.pi) / (2.0 * np.pi) * grid.width
+    row = lat_to_row(np.asarray(a[0], dtype=np.float64), grid)
+    col = lon_to_col(np.asarray(a[1], dtype=np.float64), grid)
     return row[()], col[()]
 
 
@@ -96,14 +114,12 @@ def wrap_angle(a):
 
 def pixel_center_lats(grid: GridSpec) -> np.ndarray:
     """Latitudes of the H pixel-center rows, top to bottom."""
-    rows = np.arange(grid.height, dtype=np.float64) + 0.5
-    return (0.5 - rows / grid.height) * np.pi
+    return row_to_lat(np.arange(grid.height, dtype=np.float64) + 0.5, grid)
 
 
 def pixel_center_lons(grid: GridSpec) -> np.ndarray:
     """Longitudes of the W pixel-center columns, left to right."""
-    cols = np.arange(grid.width, dtype=np.float64) + 0.5
-    return (cols / grid.width) * 2.0 * np.pi - np.pi
+    return col_to_lon(np.arange(grid.width, dtype=np.float64) + 0.5, grid)
 
 
 def pixel_center_dirs(grid: GridSpec) -> np.ndarray:

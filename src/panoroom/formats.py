@@ -19,7 +19,14 @@ from collections.abc import Iterable
 import numpy as np
 
 from .equirect import GridSpec, pixel_center_dirs_at
-from .errors import PfmHeaderError, PfmMagicError, PfmTruncatedError, SchemaError
+from .errors import (
+    PfmHeaderError,
+    PfmMagicError,
+    PfmTruncatedError,
+    SchemaError,
+    ShapeMismatchError,
+    ValueRangeError,
+)
 from .layout import LayoutMap, ManhattanRoom
 from .synth import SceneSpec
 
@@ -78,7 +85,7 @@ def write_pfm(values: np.ndarray, path: str) -> None:
     """Write an H x W map as a little-endian grayscale PFM."""
     arr = np.asarray(values)
     if arr.ndim != 2:
-        raise ValueError("PFM writer expects a 2D map")
+        raise ShapeMismatchError(f"PFM writer expects a 2D map, got {arr.ndim} dimensions")
     h, w = arr.shape
     header = f"Pf\n{w} {h}\n-1.0\n".encode("ascii")
     # the only copy; order="C" because a transposed input would convert to
@@ -169,7 +176,10 @@ def _number(d, key: str) -> float:
     v = _value(d, key)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"{key!r} must be a number, got {type(v).__name__}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueRangeError(f"{key!r} is too large for a float") from None
 
 
 def _array(d, key: str, shape: tuple) -> np.ndarray:
@@ -238,10 +248,11 @@ def scene_from_dict(d: dict) -> SceneSpec:
 
 
 def read_json(path: str) -> dict:
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         try:
             return json.load(f)
-        except json.JSONDecodeError as e:
+        # the decoder raises RecursionError on arrays nested too deeply
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
             raise SchemaError(f"not a JSON document: {e}") from None
 
 

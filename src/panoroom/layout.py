@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .equirect import GridSpec, pixel_center_lons
+from .equirect import GridSpec, lat_to_row, lon_to_col, pixel_center_lons, row_to_lat
 from .errors import CornerExtractionError, PolygonError, ShapeMismatchError, ValueRangeError
 
 
@@ -131,7 +131,7 @@ class ManhattanRoom:
         if signed_area(v) <= 0:
             raise PolygonError("floor plan polygon must be counter-clockwise")
         edges = polygon_edges(v)
-        if not _kernels._point_in_polygon(edges, 0.0, 0.0):
+        if not _kernels._points_in_polygon(edges, 0.0, 0.0):
             raise PolygonError("camera (origin) must lie strictly inside the floor plan")
 
     @property
@@ -142,11 +142,6 @@ class ManhattanRoom:
     def heights(self) -> CameraHeights:
         return CameraHeights(up=self.cam_to_ceil, down=self.cam_to_floor)
 
-    def diagonal(self) -> float:
-        """Upper bound on any camera-to-shell distance."""
-        span = float(np.max(np.linalg.norm(self.vertices, axis=1)))
-        return float(np.hypot(span, max(self.cam_to_floor, self.cam_to_ceil)))
-
 
 def extract_corners(layout: LayoutMap, prob_threshold: float = 0.5, nms_window: int = 4) -> np.ndarray:
     """Peak-pick corner columns: threshold plus circular non-max suppression.
@@ -155,7 +150,7 @@ def extract_corners(layout: LayoutMap, prob_threshold: float = 0.5, nms_window: 
     (leftmost, on ties) maximum within +-nms_window columns.
     """
     if nms_window < 1:
-        raise ValueError("nms_window must be >= 1")
+        raise ValueRangeError(f"nms_window must be >= 1, got {nms_window}")
     p = layout.corner_prob
     w = len(p)
     keep = []
@@ -246,7 +241,7 @@ def layout_to_room(
         raise CornerExtractionError("need >= 4 corner columns")
 
     w = grid.width
-    phi_f = (layout.floor_rows / grid.height - 0.5) * np.pi
+    phi_f = -row_to_lat(layout.floor_rows, grid)
     r = heights.down / np.tan(phi_f)
     az = pixel_center_lons(grid)
     px = r * np.cos(az)
@@ -286,8 +281,8 @@ def room_to_layout(room: ManhattanRoom, grid: GridSpec) -> LayoutMap:
     one-hot corner indicator for columns whose azimuth sector holds a vertex."""
     az = pixel_center_lons(grid)
     r = _kernels.boundary_range(room.edges, az)
-    floor_rows = grid.height * (0.5 + np.arctan(room.cam_to_floor / r) / np.pi)
-    ceil_rows = grid.height * (0.5 - np.arctan(room.cam_to_ceil / r) / np.pi)
+    floor_rows = lat_to_row(-np.arctan(room.cam_to_floor / r), grid)
+    ceil_rows = lat_to_row(np.arctan(room.cam_to_ceil / r), grid)
     corner = np.zeros(grid.width, dtype=np.float64)
     corner[corner_azimuth_columns(room, grid)] = 1.0
     return LayoutMap(ceil_rows=ceil_rows, floor_rows=floor_rows, corner_prob=corner)
@@ -297,6 +292,5 @@ def corner_azimuth_columns(room: ManhattanRoom, grid: GridSpec) -> np.ndarray:
     """Column sector index for each vertex direction, in vertex order."""
     cols = []
     for x, y in room.vertices:
-        alpha = np.arctan2(y, x)
-        cols.append(int(np.floor((alpha + np.pi) / (2.0 * np.pi) * grid.width)) % grid.width)
+        cols.append(int(np.floor(lon_to_col(np.arctan2(y, x), grid))) % grid.width)
     return np.array(cols, dtype=np.int64)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bgdepth import DepthMap, require_same_grid
-from .errors import NoValidSamplesError
+from .errors import NoValidSamplesError, ValueRangeError
 from .fusion import SegMap
 
 PROB_EPS = 1e-7  # clamp before log; the focal term is undefined at 0
@@ -48,9 +48,9 @@ class FocalParams:
 
     def __post_init__(self):
         if not (0 < self.alpha <= 1):
-            raise ValueError("alpha must lie in (0, 1]")
+            raise ValueRangeError("alpha must lie in (0, 1]")
         if self.eta < 0:
-            raise ValueError("eta must be >= 0")
+            raise ValueRangeError("eta must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class LossWeights:
 
     def __post_init__(self):
         if self.lambda1 < 0 or self.lambda2 < 0 or self.lambda3 < 0:
-            raise ValueError("loss weights must be >= 0")
+            raise ValueRangeError("loss weights must be >= 0")
 
 
 def eval_metrics(pred: DepthMap, gt: DepthMap, mask: SegMap | None = None) -> MetricsReport:
@@ -120,5 +120,5 @@ def total_loss(
     """Weighted sum of the three branch losses."""
     for v in (l_layout, l_depth, l_seg):
         if not np.isfinite(v):
-            raise ValueError("loss terms must be finite")
+            raise ValueRangeError("loss terms must be finite")
     return w.lambda1 * l_layout + w.lambda2 * l_depth + w.lambda3 * l_seg

@@ -17,7 +17,7 @@ from .bgdepth import DepthMap, require_same_grid
 from .equirect import GridSpec
 from .errors import PlacementError, ValueRangeError
 from .fusion import SegMap
-from .layout import ManhattanRoom, _segments_intersect
+from .layout import ManhattanRoom, _segments_intersect, polygon_edges
 
 CAMERA_WALL_CLEARANCE = 0.5  # meters
 MIN_CORNER_AZIMUTH_GAP = 3.0 * 2.0 * np.pi / 1024.0  # three columns at W=1024
@@ -34,7 +34,7 @@ class SceneSpec:
         b.flags.writeable = False
         object.__setattr__(self, "boxes", b)
         if np.any(b[:, :3] >= b[:, 3:]):
-            raise ValueError("box min must be strictly below box max componentwise")
+            raise ValueRangeError("box min must be strictly below box max componentwise")
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,11 @@ class NoiseSpec:
 
     def __post_init__(self):
         if not (0 <= self.salt_frac <= 1 and 0 <= self.outlier_frac <= 1):
-            raise ValueError("noise fractions must lie in [0, 1]")
+            raise ValueRangeError("noise fractions must lie in [0, 1]")
         if self.salt_frac + self.outlier_frac > 1:
-            raise ValueError("salt_frac + outlier_frac must be <= 1")
+            raise ValueRangeError("salt_frac + outlier_frac must be <= 1")
         if self.outlier_offset <= 0:
-            raise ValueError("outlier_offset must be > 0")
+            raise ValueRangeError("outlier_offset must be > 0")
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class SceneConfig:
 
     def __post_init__(self):
         if self.plan not in ("rect", "lshape"):
-            raise ValueError("plan must be 'rect' or 'lshape'")
+            raise ValueRangeError(f"plan must be 'rect' or 'lshape', got {self.plan!r}")
         lo, hi = self.box_count_range
         if lo < 0 or hi < lo:
             raise ValueRangeError("box_count_range must be a nonempty nonnegative range")
@@ -87,23 +87,18 @@ def _min_azimuth_gap(vertices: np.ndarray) -> float:
     return float(np.min(gaps))
 
 
-def _footprint_ok(vertices: np.ndarray, edges: np.ndarray, x0, y0, x1, y1) -> bool:
+def _footprint_ok(edges: np.ndarray, x0, y0, x1, y1) -> bool:
     """Axis-aligned footprint strictly inside the (possibly L-shaped) plan."""
-    corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-    for c in corners:
-        if not _kernels._point_in_polygon(edges, c[0], c[1]):
-            return False
-        if _kernels.polygon_boundary_distance(edges, *c) < 1e-9:
-            return False
-    rect_edges = [
-        ((x0, y0), (x1, y0)),
-        ((x1, y0), (x1, y1)),
-        ((x1, y1), (x0, y1)),
-        ((x0, y1), (x0, y0)),
-    ]
-    for ax, ay, bx, by in edges:
-        for ra, rb in rect_edges:
-            if _segments_intersect((ax, ay), (bx, by), ra, rb):
+    corners = np.array([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+    cx, cy = corners.T
+    if not _kernels._points_in_polygon(edges, cx, cy).all():
+        return False
+    if _kernels.polygon_boundary_distance(edges, cx, cy).min() < 1e-9:
+        return False
+    rect_edges = polygon_edges(corners)
+    for e in edges:
+        for r in rect_edges:
+            if _segments_intersect(e[:2], e[2:], r[:2], r[2:]):
                 return False
     return True
 
@@ -168,7 +163,7 @@ def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneSpec:
             z1 = z0 + sz
             if z1 >= cam_to_ceil - 1e-9:
                 continue
-            if not _footprint_ok(verts, edges, x0, y0, x1, y1):
+            if not _footprint_ok(edges, x0, y0, x1, y1):
                 continue
             # the box must not contain the camera origin
             if x0 < 0.0 < x1 and y0 < 0.0 < y1 and z0 < 0.0 < z1:
@@ -183,7 +178,7 @@ def _render(scene: SceneSpec, grid: GridSpec, boxes):
     """One shell pass: ``_kernels.raycast``'s (shell, depth, footprints)."""
     room = scene.room
     shell, depth, footprints = _kernels.raycast(
-        room.edges, room.cam_to_floor, room.cam_to_ceil, boxes, grid.height, grid.width
+        room.edges, room.cam_to_floor, room.cam_to_ceil, boxes, grid
     )
     # A box entry lies in (0, shell), so only the shell can hold inf or NaN;
     # shell distances are positive by construction.

@@ -31,7 +31,7 @@ from panoroom import (
     resolve_camera_heights,
     room_to_layout,
 )
-from panoroom.bgdepth import WALL, classify_regions, floor_depth
+from panoroom.bgdepth import WALL, cap_depth, classify_regions
 from panoroom.cli import main as cli_main
 from panoroom.denoise import shell_outside_distance
 from panoroom.equirect import pixel_center_dirs
@@ -94,7 +94,7 @@ def test_criterion_2_camera_height_recovery():
 
 
 def test_criterion_3_paper_literal_divergence():
-    ratio = floor_depth(np.pi / 2, 1.5, "paper-literal") / floor_depth(np.pi / 2, 1.5, "exact")
+    ratio = cap_depth(np.pi / 2, 1.5, "paper-literal") / cap_depth(np.pi / 2, 1.5, "exact")
     assert ratio == pytest.approx(2.0 / np.pi, abs=1e-9)
     for scene in scenes(10, seed0=3000):
         layout = room_to_layout(scene.room, HALF)

@@ -19,8 +19,7 @@ from panoroom import (
 )
 from panoroom.bgdepth import (
     _column_estimates_interior,
-    ceiling_depth,
-    floor_depth,
+    cap_depth,
     sample_bilinear,
     wall_depth,
 )
@@ -141,8 +140,8 @@ def test_classify_boundary_tie_is_wall():
 
 
 def test_nadir_formulas():
-    assert floor_depth(np.pi / 2, 1.5, "exact") == pytest.approx(1.5, abs=1e-15)
-    assert floor_depth(np.pi / 2, 1.5, "paper-literal") == pytest.approx(3.0 / np.pi, abs=1e-12)
+    assert cap_depth(np.pi / 2, 1.5, "exact") == pytest.approx(1.5, abs=1e-15)
+    assert cap_depth(np.pi / 2, 1.5, "paper-literal") == pytest.approx(3.0 / np.pi, abs=1e-12)
     assert wall_depth(0.0, 2.7, "exact") == 2.7
     assert wall_depth(0.0, 2.7, "paper-literal") == 2.7
 
@@ -244,8 +243,8 @@ def nested_where_background(layout, heights, grid, mode):
     lat = pixel_center_lats(grid)[:, None]
     wall_range = heights.down / np.tan((layout.floor_rows / grid.height - 0.5) * np.pi)
     with np.errstate(divide="ignore", invalid="ignore"):
-        d_ceil = ceiling_depth(lat, heights.up, mode)
-        d_floor = floor_depth(-lat, heights.down, mode)
+        d_ceil = cap_depth(lat, heights.up, mode)
+        d_floor = cap_depth(-lat, heights.down, mode)
         d_wall = wall_depth(lat, wall_range[None, :], mode)
     return np.where(region == CEILING, d_ceil, np.where(region == FLOOR, d_floor, d_wall))
 

@@ -212,10 +212,11 @@ def bg_with_layout(tmp_path, **change):
     return ["bg", "--layout", path, "--coarse", coarse, "--out", tmp_path / "bg.pfm"]
 
 
-def denoise_with_slack(tmp_path, slack):
+def denoise_with_slack(tmp_path, slack, cam_to_floor=1.5):
     room = tmp_path / "room.json"
     room.write_text(json.dumps(
-        {"vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]], "cam_to_floor": 1.5, "cam_to_ceil": 1.0}
+        {"vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]], "cam_to_floor": cam_to_floor,
+         "cam_to_ceil": 1.0}
     ))
     depth = write_flat_pfm(tmp_path / "d.pfm")
     return ["denoise", "--gt", depth, "--bg", depth, "--room", room, "--slack", slack,
@@ -234,6 +235,7 @@ def denoise_with_slack(tmp_path, slack):
         (lambda p: bg_with_layout(p, ceil=[3.0] * 8), "value-range"),
         (lambda p: denoise_with_slack(p, -1), "value-range"),
         (lambda p: denoise_with_slack(p, "nan"), "value-range"),
+        (lambda p: denoise_with_slack(p, 1.0, cam_to_floor=10**400), "value-range"),
         (lambda p: ["fuse", "--coarse", write_flat_pfm(p / "c.pfm"), "--bg", p / "c.pfm",
                     "--seg", write_pfm_holding(p / "s.pfm", 1.5), "--out", p / "o.pfm"],
          "value-range"),
@@ -245,7 +247,7 @@ def denoise_with_slack(tmp_path, slack):
                     "--boxes", 3, 1], "value-range"),
     ],
     ids=["pfm-nan", "pfm-negative", "layout-8x8", "corner-prob-2", "ceil-rows",
-         "slack-negative", "slack-nan", "seg-above-1", "gamma-negative", "gamma-nan",
+         "slack-negative", "slack-nan", "room-height-overflow", "seg-above-1", "gamma-negative", "gamma-nan",
          "boxes-reversed"],
 )
 def test_value_errors_get_their_code(tmp_path, capsys, argv, code):
@@ -253,17 +255,34 @@ def test_value_errors_get_their_code(tmp_path, capsys, argv, code):
     assert_one_error_line(capsys, rc, code)
 
 
-@pytest.mark.parametrize("command", ["bg", "denoise"])
-def test_truncated_json_is_schema(tmp_path, capsys, command):
+def _truncated(text):
+    return text[:60].encode()
+
+
+def _not_utf8(text):
+    return text[:20].encode() + b"\xff" + text[20:].encode()
+
+
+def _nested_too_deep(text):
+    return b"[" * 100_000
+
+
+@pytest.mark.parametrize(
+    "command, damage",
+    [("bg", _truncated), ("denoise", _truncated), ("bg", _not_utf8), ("denoise", _not_utf8),
+     ("bg", _nested_too_deep)],
+    ids=["bg", "denoise", "bg-not-utf8", "denoise-not-utf8", "bg-nested-too-deep"],
+)
+def test_truncated_json_is_schema(tmp_path, capsys, command, damage):
     path = tmp_path / "doc.json"
     depth = write_flat_pfm(tmp_path / "d.pfm")
     if command == "bg":
-        path.write_text(json.dumps(GOOD_LAYOUT)[:60])
+        path.write_bytes(damage(json.dumps(GOOD_LAYOUT)))
         argv = ["bg", "--layout", path, "--coarse", depth, "--out", tmp_path / "o.pfm"]
     else:
         room = {"vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]], "cam_to_floor": 1.5,
                 "cam_to_ceil": 1.0}
-        path.write_text(json.dumps(room)[:60])
+        path.write_bytes(damage(json.dumps(room)))
         argv = ["denoise", "--gt", depth, "--bg", depth, "--room", path, "--out", tmp_path / "o.pfm"]
     rc = run(argv)
     assert_one_error_line(capsys, rc, "schema")

@@ -1,11 +1,12 @@
-"""Fuzzed inputs for every file-reading subcommand.
+"""Fuzzed inputs for every file-reading subcommand, and ``synth``'s options.
 
 Each example breaks one input file of a subcommand: it truncates it,
 replaces a PFM header token, pokes a non-finite or negative value into a
 PFM payload, or drops, retypes or pushes out of range one key of a JSON
 document. Every mutation is invalid by construction, so the CLI must exit
 with status 2 and write exactly one ``error: <code>: <message>`` line, and
-no warning.
+no warning. ``synth`` runs on small option values, valid or not: a valid
+set exits 0 and writes nothing to stderr, an invalid one fails as above.
 """
 
 import contextlib
@@ -136,8 +137,8 @@ LAYOUT_OUT_OF_RANGE = {
     "corner_prob": st.one_of(st.floats(max_value=-1e-9), st.floats(min_value=1.0 + 1e-9), _NON_FINITE),
 }
 ROOM_OUT_OF_RANGE = {
-    "cam_to_floor": st.one_of(st.floats(max_value=0.0), _NON_FINITE),
-    "cam_to_ceil": st.one_of(st.floats(max_value=0.0), _NON_FINITE),
+    "cam_to_floor": st.one_of(st.floats(max_value=0.0), _NON_FINITE, st.just(10**400)),
+    "cam_to_ceil": st.one_of(st.floats(max_value=0.0), _NON_FINITE, st.just(10**400)),
     "vertices": _NON_FINITE,
 }
 
@@ -165,6 +166,10 @@ def run(command, work_dir, option=None, payload=None):
         path.write_bytes(payload if opt == option else VALID[kind])
         argv += [opt, str(path)]
     argv += [OUTPUT_OPTION.get(command, "--out"), str(work_dir / f"{command}.out")]
+    return run_argv(argv)
+
+
+def run_argv(argv):
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
@@ -184,3 +189,22 @@ def test_broken_input_gives_one_error_line(work_dir, command):
         assert len(lines) == 1 and lines[0].startswith("error: "), (case, lines)
 
     check()
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    count=st.integers(-2, 2),
+    height=st.integers(-2, 40),
+    boxes=st.tuples(st.integers(-2, 6), st.integers(-2, 6)),
+)
+def test_synth_options(tmp_path_factory, count, height, boxes):
+    out = tmp_path_factory.mktemp("synth")
+    argv = ["synth", "--seed", "0", "--count", str(count), "--height", str(height),
+            "--boxes", *map(str, boxes), "--out-dir", str(out)]
+    rc, lines = run_argv(argv)
+    if count >= 1 and height >= 1 and 0 <= boxes[0] <= boxes[1]:
+        assert (rc, lines) == (0, [])
+        assert len(list(out.iterdir())) == count
+    else:
+        assert rc == 2, argv
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)

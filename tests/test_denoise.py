@@ -34,10 +34,10 @@ def brute_force_shell_distance(room, point, samples=400):
     # caps: sample the bounding box of the polygon, keep inside points
     xs = np.linspace(verts[:, 0].min(), verts[:, 0].max(), samples)
     ys = np.linspace(verts[:, 1].min(), verts[:, 1].max(), samples)
-    from panoroom._kernels import _points_in_polygon_np
+    from panoroom._kernels import _points_in_polygon
 
     gx, gy = np.meshgrid(xs, ys)
-    inside = _points_in_polygon_np(room.edges, gx, gy)
+    inside = _points_in_polygon(room.edges, gx, gy)
     for z in (-room.cam_to_floor, room.cam_to_ceil):
         pts = np.column_stack([gx[inside], gy[inside], np.full(inside.sum(), z)])
         best = min(best, float(np.min(np.linalg.norm(pts - point, axis=1))))

@@ -12,9 +12,10 @@ from panoroom import (
     room_to_layout,
 )
 from panoroom.errors import CornerExtractionError, PolygonError
+from panoroom._kernels import _points_in_polygon
 from panoroom.layout import snap_manhattan
 
-from conftest import make_scene
+from conftest import make_scene, point_in_polygon_loop
 
 
 def flat_layout(w=128, h=64, ceil=16.0, floor=48.0):
@@ -163,3 +164,23 @@ def test_corner_prob_marks_vertex_sectors():
     scene = make_scene(11, plan="lshape")
     layout = room_to_layout(scene.room, grid)
     assert int(layout.corner_prob.sum()) == len(scene.room.vertices)
+
+
+@pytest.mark.parametrize("plan", ["rect", "lshape"])
+def test_points_in_polygon_matches_the_loop(plan):
+    """The vectorised even-odd test against the scalar loop, on random
+    points and on the degenerate ones: vertices, edge midpoints and points
+    at a vertex's y-level, where an edge's end rule decides."""
+    rng = np.random.default_rng(5)
+    for seed in range(10):
+        edges = make_scene(seed, plan=plan).room.edges
+        v = edges[:, :2]
+        lo, hi = v.min(axis=0) - 1.0, v.max(axis=0) + 1.0
+        level_y = rng.choice(v[:, 1], 200)
+        x = np.concatenate([rng.uniform(lo[0], hi[0], 400), v[:, 0],
+                            (edges[:, 0] + edges[:, 2]) / 2, rng.uniform(lo[0], hi[0], 200)])
+        y = np.concatenate([rng.uniform(lo[1], hi[1], 400), v[:, 1],
+                            (edges[:, 1] + edges[:, 3]) / 2, level_y])
+        expected = [point_in_polygon_loop(edges, px, py) for px, py in zip(x, y)]
+        assert _points_in_polygon(edges, x, y).tolist() == expected
+        assert [bool(_points_in_polygon(edges, px, py)) for px, py in zip(x, y)] == expected

@@ -21,6 +21,9 @@ from panoroom import (
     raycast_depth,
     render_scene,
 )
+from panoroom.equirect import pixel_center_dirs
+
+from conftest import mixed_scenes
 
 TOL = 1e-12  # m
 
@@ -134,3 +137,32 @@ def test_hand_built_boxes_match_brute_force(name, height):
         assert seen[-1].all()
     else:
         assert seen[0].any() and seen[-1].any()
+
+
+def rebuilt_shell(room, grid):
+    """The room shell rebuilt pixel by pixel from ``pixel_center_dirs``:
+    the nearest wall crossing ``(ex*ay - ey*ax) / (ex*dy - ey*dx)`` over all
+    edges, then the minimum with the floor/ceiling plane."""
+    d = pixel_center_dirs(grid)
+    dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
+    wall = np.full(grid.shape, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for ax, ay, bx, by in room.edges:
+            ex, ey = bx - ax, by - ay
+            det = ex * dy - ey * dx
+            t = (ex * ay - ey * ax) / det
+            u = (dx * ay - dy * ax) / det
+            hit = (det != 0.0) & (t > 0.0) & (u >= 0.0) & (u <= 1.0) & (t < wall)
+            wall = np.where(hit, t, wall)
+        plane = np.where(dz < 0.0, -room.cam_to_floor / dz, room.cam_to_ceil / dz)
+    return np.minimum(wall, plane)
+
+
+@pytest.mark.parametrize("height", [32, 33, 64])
+def test_shell_is_bit_identical_to_a_per_pixel_rebuild(height):
+    """The ray-cast shares the package's pixel-centre directions, so its
+    shell keeps the exact bits of a per-pixel ray cast along them."""
+    grid = GridSpec(width=2 * height, height=height)
+    for scene in mixed_scenes(6):
+        got = raycast_depth(scene, grid, include_foreground=False).values
+        assert np.array_equal(got, rebuilt_shell(scene.room, grid))

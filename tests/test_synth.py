@@ -19,9 +19,8 @@ from panoroom.errors import PanoroomError, PlacementError, ShapeMismatchError, V
 from panoroom.layout import ManhattanRoom
 from panoroom.synth import SceneSpec
 from panoroom.formats import scene_to_dict
-from panoroom._kernels import _point_in_polygon
 
-from conftest import make_scene
+from conftest import make_scene, point_in_polygon_loop
 
 GRID = GridSpec(width=128, height=64)
 
@@ -54,7 +53,7 @@ def test_invariant_sweep():
             # strictly inside the shell
             for cx in (b[0], b[3]):
                 for cy in (b[1], b[4]):
-                    assert _point_in_polygon(edges, cx, cy)
+                    assert point_in_polygon_loop(edges, cx, cy)
             assert b[2] >= -room.cam_to_floor - 1e-12
             assert b[5] < room.cam_to_ceil
             # no box contains the camera origin
@@ -120,7 +119,10 @@ def test_depth_positive_and_bounded():
         scene = make_scene(seed, plan="lshape", boxes=(0, 3))
         depth = raycast_depth(scene, GRID).values
         assert np.all(depth > 0)
-        assert np.all(depth <= scene.room.diagonal() + 1e-9)
+        room = scene.room
+        span = float(np.max(np.linalg.norm(room.vertices, axis=1)))
+        diagonal = float(np.hypot(span, max(room.cam_to_floor, room.cam_to_ceil)))
+        assert np.all(depth <= diagonal + 1e-9)
 
 
 def test_mask_no_boxes_all_background():
