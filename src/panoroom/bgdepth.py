@@ -21,43 +21,54 @@ import numpy as np
 
 from .equirect import GridSpec, pixel_center_lats, row_to_lat
 from .errors import NoValidSamplesError, ShapeMismatchError, ValueRangeError
-from .layout import CameraHeights, LayoutMap
+from .layout import CameraHeights, LayoutMap, floor_wall_range
 
 CEILING, WALL, FLOOR = 0, 1, 2
 
 RESOLVE_MODES = ("exact", "paper-literal")
-
-
-def _own_map(cls, grid: GridSpec, values: np.ndarray):
-    """A ``cls`` map over ``values`` without ``__post_init__``'s checks and
-    copy, for maps the package computes itself.
-
-    ``values`` must be a fresh float64 array of ``grid.shape`` whose range
-    the caller has established; it is marked read-only and must not be
-    written through any other reference.
-    """
-    values.flags.writeable = False
-    m = object.__new__(cls)
-    object.__setattr__(m, "grid", grid)
-    object.__setattr__(m, "values", values)
-    return m
+AGGREGATORS = ("median", "mean")
 
 
 @dataclass(frozen=True)
-class DepthMap:
-    """H x W radial distances in meters; 0 = invalid/missing."""
+class _GridMap:
+    """H x W float64 values on ``grid``. Public construction runs the
+    subclass's ``_check`` and keeps a read-only copy; ``_own`` wraps a map
+    the package computes itself without either."""
 
     grid: GridSpec
     values: np.ndarray
 
+    _noun = ""  # names the map in the shape error
+
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
         if v.shape != self.grid.shape:
-            raise ShapeMismatchError(f"depth values {v.shape} != grid {self.grid.shape}")
+            raise ShapeMismatchError(f"{self._noun} values {v.shape} != grid {self.grid.shape}")
         self._check(v)
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def _own(cls, grid: GridSpec, values: np.ndarray):
+        """A map over ``values`` without ``__post_init__``'s checks and copy.
+
+        ``values`` must be a fresh float64 array of ``grid.shape`` whose range
+        the caller has established; it is marked read-only and must not be
+        written through any other reference.
+        """
+        values.flags.writeable = False
+        m = object.__new__(cls)
+        object.__setattr__(m, "grid", grid)
+        object.__setattr__(m, "values", values)
+        return m
+
+
+@dataclass(frozen=True)
+class DepthMap(_GridMap):
+    """H x W radial distances in meters; 0 = invalid/missing."""
+
+    _noun = "depth"
 
     @staticmethod
     def _check(v: np.ndarray) -> None:
@@ -66,8 +77,6 @@ class DepthMap:
             raise ValueRangeError("depth values must be finite")
         if np.any(v < 0):
             raise ValueRangeError("depth values must be >= 0")
-
-    _own = classmethod(_own_map)
 
 
 def require_same_grid(*maps) -> GridSpec:
@@ -114,36 +123,6 @@ def classify_regions(layout: LayoutMap, grid: GridSpec) -> np.ndarray:
     region[ceiling] = CEILING
     region[floor] = FLOOR
     return region
-
-
-def sample_bilinear(values: np.ndarray, row: float, col: float) -> float:
-    """Invalid-aware bilinear sample at a continuous (row, col) coordinate.
-
-    Map values live at pixel centers; columns wrap horizontally. Neighbors
-    with value 0 are dropped and the remaining weights renormalized.
-    Returns 0 when every contributing neighbor is invalid.
-    """
-    h, w = values.shape
-    r = row - 0.5
-    c = col - 0.5
-    r0 = int(np.floor(r))
-    c0 = int(np.floor(c))
-    fr = r - r0
-    fc = c - c0
-    total = 0.0
-    wsum = 0.0
-    for dr, wr in ((0, 1.0 - fr), (1, fr)):
-        ri = min(max(r0 + dr, 0), h - 1)
-        for dc, wc in ((0, 1.0 - fc), (1, fc)):
-            ci = (c0 + dc) % w
-            weight = wr * wc
-            v = values[ri, ci]
-            if weight > 0.0 and v > 0.0:
-                total += weight * v
-                wsum += weight
-    if wsum == 0.0:
-        return 0.0
-    return total / wsum
 
 
 def _walk_to_valid(v: np.ndarray, start: np.ndarray, step: int) -> np.ndarray:
@@ -197,59 +176,29 @@ def _column_estimates_interior(layout, coarse, grid):
     return tuple(estimates)
 
 
-def _column_estimates_boundary(layout, coarse, grid):
-    """Per-column estimates from bilinear samples at the boundary rows."""
-    up = np.full(grid.width, np.nan)
-    down = np.full(grid.width, np.nan)
-    phi_c = row_to_lat(layout.ceil_rows, grid)
-    phi_f = -row_to_lat(layout.floor_rows, grid)
-    for col in range(grid.width):
-        d_c = sample_bilinear(coarse.values, layout.ceil_rows[col], col + 0.5)
-        d_f = sample_bilinear(coarse.values, layout.floor_rows[col], col + 0.5)
-        if d_c > 0.0:
-            up[col] = d_c * np.sin(phi_c[col])
-        if d_f > 0.0:
-            down[col] = d_f * np.sin(phi_f[col])
-    return up, down
-
-
 def resolve_camera_heights(
     layout: LayoutMap,
     coarse: DepthMap,
     grid: GridSpec,
-    aggregator: str | int = "median",
-    sampling: str = "interior",
+    aggregator: str = "median",
 ) -> CameraHeights:
     """Recover (up, down) camera heights from layout boundaries plus depth.
 
-    ``aggregator`` is ``"median"``, ``"mean"``, or an integer column index.
-    ``sampling="interior"`` (default) reads the depth at the pixel center
-    just inside each region, which is exact on clean maps;
-    ``sampling="boundary"`` bilinearly samples at the boundary row itself.
+    Each column votes ``h = d * sin(|lat|)`` at the valid pixel center
+    nearest its boundary inside the ceiling (floor) region, which is exact on
+    clean maps; ``aggregator`` (one of ``AGGREGATORS``) reduces the votes.
     """
+    if aggregator not in AGGREGATORS:
+        raise ValueRangeError(f"aggregator must be one of {AGGREGATORS}, got {aggregator!r}")
     layout.validate_against(grid)
     if coarse.grid != grid:
         raise ShapeMismatchError("coarse depth grid differs from requested grid")
-    if sampling == "interior":
-        up, down = _column_estimates_interior(layout, coarse, grid)
-    elif sampling == "boundary":
-        up, down = _column_estimates_boundary(layout, coarse, grid)
-    else:
-        raise ValueRangeError(f"sampling must be 'interior' or 'boundary', got {sampling!r}")
-
-    if isinstance(aggregator, (int, np.integer)):
-        col = int(aggregator)
-        if not (np.isfinite(up[col]) and np.isfinite(down[col])):
-            raise NoValidSamplesError(f"column {col} has no valid boundary samples")
-        return CameraHeights(up=float(up[col]), down=float(down[col]))
-
-    reduce = {"median": np.median, "mean": np.mean}.get(aggregator)
-    if reduce is None:
-        raise ValueRangeError(f"aggregator must be 'median', 'mean' or an int, got {aggregator!r}")
+    up, down = _column_estimates_interior(layout, coarse, grid)
     up_valid = up[np.isfinite(up)]
     down_valid = down[np.isfinite(down)]
     if len(up_valid) == 0 or len(down_valid) == 0:
         raise NoValidSamplesError("no column produced a valid boundary depth sample")
+    reduce = np.median if aggregator == "median" else np.mean
     return CameraHeights(up=float(reduce(up_valid)), down=float(reduce(down_valid)))
 
 
@@ -265,9 +214,7 @@ def resolve_background_depth(
     layout.validate_against(grid)
     lat = pixel_center_lats(grid)[:, None]
 
-    phi_f = -row_to_lat(layout.floor_rows, grid)
-    wall_range = heights.down / np.tan(phi_f)
-
+    wall_range = floor_wall_range(layout, heights, grid)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = wall_depth(lat, wall_range[None, :], mode)
         d_ceil = cap_depth(lat, heights.up, mode)

@@ -172,9 +172,14 @@ def _integer(d, key: str) -> int:
     return v
 
 
+def _is_number(t: type) -> bool:
+    """Whether JSON values of type ``t`` are numbers (a bool is not)."""
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
+
+
 def _number(d, key: str) -> float:
     v = _value(d, key)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_number(type(v)):
         raise SchemaError(f"{key!r} must be a number, got {type(v).__name__}")
     try:
         return float(v)
@@ -183,19 +188,22 @@ def _number(d, key: str) -> float:
 
 
 def _array(d, key: str, shape: tuple) -> np.ndarray:
-    """``d[key]`` as a float64 array of numbers whose shape matches ``shape``
-    (``None`` matches any length)."""
-    v = _value(d, key)
-    try:
-        arr = np.array(v)
-    except ValueError:  # numpy refuses ragged nesting
-        raise SchemaError(f"{key!r} is a ragged array") from None
-    if arr.dtype.kind not in "iuf":
-        raise SchemaError(f"{key!r} must hold only numbers")
+    """``d[key]`` as a float64 array whose shape matches ``shape`` (``None``
+    matches any length) and whose every element passes ``_number``'s rule."""
+    # an object array keeps each JSON value as it is; ragged nesting leaves lists
+    arr = np.array(_value(d, key), dtype=object)
     if arr.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, arr.shape)):
         want = " x ".join("N" if n is None else str(n) for n in shape)
         raise SchemaError(f"{key!r} must be a {want} array, got shape {arr.shape}")
-    return arr.astype(np.float64)
+    kinds = set(map(type, arr.flat))
+    if list in kinds:
+        raise SchemaError(f"{key!r} is a ragged array")
+    if not all(map(_is_number, kinds)):
+        raise SchemaError(f"{key!r} must hold only numbers")
+    try:
+        return arr.astype(np.float64)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueRangeError(f"{key!r} holds a number too large for a float") from None
 
 
 def layout_from_dict(d: dict) -> tuple[LayoutMap, GridSpec]:

@@ -11,36 +11,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bgdepth import DepthMap, _own_map, require_same_grid
-from .equirect import GridSpec
-from .errors import ShapeMismatchError, ValueRangeError
+from .bgdepth import DepthMap, _GridMap, require_same_grid
+from .errors import ValueRangeError
 
 DEFAULT_SEG_GAMMA = 0.1  # meters
 
 
 @dataclass(frozen=True)
-class SegMap:
+class SegMap(_GridMap):
     """H x W background probabilities (or binary labels) in [0, 1]."""
 
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != self.grid.shape:
-            raise ShapeMismatchError(f"seg values {v.shape} != grid {self.grid.shape}")
-        self._check(v)
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+    _noun = "seg"
 
     @staticmethod
     def _check(v: np.ndarray) -> None:
         """The value checks of public construction."""
         if np.any(v < 0) or np.any(v > 1) or not np.all(np.isfinite(v)):
             raise ValueRangeError("segmentation values must lie in [0, 1]")
-
-    _own = classmethod(_own_map)
 
 
 def fuse_depth(coarse: DepthMap, background: DepthMap, seg: SegMap) -> DepthMap:

@@ -219,7 +219,6 @@ def layout_to_room(
     heights: CameraHeights,
     grid: GridSpec,
     snap: bool = True,
-    corner_cols: np.ndarray | None = None,
     prob_threshold: float = 0.5,
     nms_window: int = 4,
 ) -> ManhattanRoom:
@@ -233,16 +232,11 @@ def layout_to_room(
     column's own boundary sample.
     """
     layout.validate_against(grid)
-    if corner_cols is None:
-        corner_cols = extract_corners(layout, prob_threshold, nms_window)
-    corner_cols = np.asarray(corner_cols, dtype=np.int64)
+    corner_cols = extract_corners(layout, prob_threshold, nms_window)
     n = len(corner_cols)
-    if n < 4:
-        raise CornerExtractionError("need >= 4 corner columns")
 
     w = grid.width
-    phi_f = -row_to_lat(layout.floor_rows, grid)
-    r = heights.down / np.tan(phi_f)
+    r = floor_wall_range(layout, heights, grid)
     az = pixel_center_lons(grid)
     px = r * np.cos(az)
     py = r * np.sin(az)
@@ -274,6 +268,12 @@ def layout_to_room(
     if snap:
         verts = snap_manhattan(verts)
     return ManhattanRoom(verts, cam_to_floor=heights.down, cam_to_ceil=heights.up)
+
+
+def floor_wall_range(layout: LayoutMap, heights: CameraHeights, grid: GridSpec) -> np.ndarray:
+    """Per column, the horizontal range to the wall whose foot is the floor
+    boundary: the inverse of ``room_to_layout``'s floor rows."""
+    return heights.down / np.tan(-row_to_lat(layout.floor_rows, grid))
 
 
 def room_to_layout(room: ManhattanRoom, grid: GridSpec) -> LayoutMap:

@@ -20,7 +20,6 @@ from panoroom import (
 from panoroom.bgdepth import (
     _column_estimates_interior,
     cap_depth,
-    sample_bilinear,
     wall_depth,
 )
 from panoroom.equirect import pixel_center_lats
@@ -36,21 +35,6 @@ def layout_for(scene, grid=GRID):
 
 
 # --- camera height resolution ----------------------------------------------
-
-
-def test_single_column_boundary_sampling_sin_formula():
-    # floor boundary at phi_f = pi/6 and constant coarse depth 2.0 -> down = 1.0
-    h, w = 128, 256
-    grid = GridSpec(width=w, height=h)
-    floor_row = h * (0.5 + (np.pi / 6) / np.pi)
-    layout = LayoutMap(
-        ceil_rows=np.full(w, h * 0.25),
-        floor_rows=np.full(w, floor_row),
-        corner_prob=np.zeros(w),
-    )
-    coarse = DepthMap(grid=grid, values=np.full((h, w), 2.0))
-    heights = resolve_camera_heights(layout, coarse, grid, aggregator=7, sampling="boundary")
-    assert heights.down == pytest.approx(1.0, abs=1e-12)
 
 
 def test_oracle_recovery_exact():
@@ -97,18 +81,6 @@ def test_invalid_pixels_skipped_by_interior_walk():
     heights = resolve_camera_heights(layout, DepthMap(grid=GRID, values=coarse), GRID)
     assert heights.down == pytest.approx(scene.room.cam_to_floor, abs=1e-6)
     assert heights.up == pytest.approx(scene.room.cam_to_ceil, abs=1e-6)
-
-
-def test_sample_bilinear_invalid_aware():
-    v = np.zeros((4, 4))
-    v[1, 1] = 2.0
-    v[1, 2] = 4.0
-    # midpoint between two valid centers
-    assert sample_bilinear(v, 1.5, 2.0) == pytest.approx(3.0)
-    # one neighbor invalid: weights renormalize to the valid one
-    v[1, 2] = 0.0
-    assert sample_bilinear(v, 1.5, 2.0) == pytest.approx(2.0)
-    assert sample_bilinear(np.zeros((4, 4)), 1.5, 1.5) == 0.0
 
 
 # --- region classification --------------------------------------------------

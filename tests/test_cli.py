@@ -155,9 +155,10 @@ GOOD_LAYOUT = {
         {"corner_prob": [[0.0, 0.0]] * 4},
         {"ceil": [[1.0], [1.0, 1.0]] * 4},
         {"ceil": [1.0] * 7 + [None]},
+        {"ceil": [True] + [1.0] * 7},
     ],
     ids=["missing", "width-str", "height-float", "ceil-str", "floor-short", "prob-2d",
-         "ragged", "null-item"],
+         "ragged", "null-item", "bool-item"],
 )
 def test_bg_layout_schema_errors(tmp_path, capsys, change):
     layout = {**GOOD_LAYOUT, **change}
@@ -212,11 +213,11 @@ def bg_with_layout(tmp_path, **change):
     return ["bg", "--layout", path, "--coarse", coarse, "--out", tmp_path / "bg.pfm"]
 
 
-def denoise_with_slack(tmp_path, slack, cam_to_floor=1.5):
+def denoise_with_slack(tmp_path, slack, cam_to_floor=1.5, x_max=1):
     room = tmp_path / "room.json"
     room.write_text(json.dumps(
-        {"vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]], "cam_to_floor": cam_to_floor,
-         "cam_to_ceil": 1.0}
+        {"vertices": [[-1, -1], [x_max, -1], [x_max, 1], [-1, 1]],
+         "cam_to_floor": cam_to_floor, "cam_to_ceil": 1.0}
     ))
     depth = write_flat_pfm(tmp_path / "d.pfm")
     return ["denoise", "--gt", depth, "--bg", depth, "--room", room, "--slack", slack,
@@ -236,6 +237,7 @@ def denoise_with_slack(tmp_path, slack, cam_to_floor=1.5):
         (lambda p: denoise_with_slack(p, -1), "value-range"),
         (lambda p: denoise_with_slack(p, "nan"), "value-range"),
         (lambda p: denoise_with_slack(p, 1.0, cam_to_floor=10**400), "value-range"),
+        (lambda p: denoise_with_slack(p, 1.0, x_max=10**400), "value-range"),
         (lambda p: ["fuse", "--coarse", write_flat_pfm(p / "c.pfm"), "--bg", p / "c.pfm",
                     "--seg", write_pfm_holding(p / "s.pfm", 1.5), "--out", p / "o.pfm"],
          "value-range"),
@@ -247,7 +249,8 @@ def denoise_with_slack(tmp_path, slack, cam_to_floor=1.5):
                     "--boxes", 3, 1], "value-range"),
     ],
     ids=["pfm-nan", "pfm-negative", "layout-8x8", "corner-prob-2", "ceil-rows",
-         "slack-negative", "slack-nan", "room-height-overflow", "seg-above-1", "gamma-negative", "gamma-nan",
+         "slack-negative", "slack-nan", "room-height-overflow", "room-vertex-overflow",
+         "seg-above-1", "gamma-negative", "gamma-nan",
          "boxes-reversed"],
 )
 def test_value_errors_get_their_code(tmp_path, capsys, argv, code):

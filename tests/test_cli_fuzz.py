@@ -139,7 +139,7 @@ LAYOUT_OUT_OF_RANGE = {
 ROOM_OUT_OF_RANGE = {
     "cam_to_floor": st.one_of(st.floats(max_value=0.0), _NON_FINITE, st.just(10**400)),
     "cam_to_ceil": st.one_of(st.floats(max_value=0.0), _NON_FINITE, st.just(10**400)),
-    "vertices": _NON_FINITE,
+    "vertices": st.one_of(_NON_FINITE, st.just(10**400)),
 }
 
 

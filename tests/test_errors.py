@@ -40,8 +40,11 @@ HEIGHTS = CameraHeights(up=1.0, down=1.5)
         (lambda: FocalParams(eta=-1.0), "value-range"),
         (lambda: LossWeights(lambda2=-1.0), "value-range"),
         (lambda: total_loss(1.0, math.nan, 1.0), "value-range"),
-        (lambda: resolve_camera_heights(LAYOUT, COARSE, GRID, sampling="edge"), "value-range"),
         (lambda: resolve_camera_heights(LAYOUT, COARSE, GRID, aggregator="max"), "value-range"),
+        (lambda: resolve_camera_heights(LAYOUT, COARSE, GRID, aggregator=7), "value-range"),
+        (lambda: resolve_camera_heights(LAYOUT, COARSE, GRID, aggregator=10**6), "value-range"),
+        (lambda: resolve_camera_heights(LAYOUT, COARSE, GRID, aggregator=["median"]),
+         "value-range"),
         (lambda: resolve_background_depth(LAYOUT, HEIGHTS, GRID, mode="approx"), "value-range"),
         (lambda: extract_corners(LAYOUT, nms_window=0), "value-range"),
         (lambda: SceneSpec(room=SCENE.room, boxes=[0, 0, 0, 1, -1, 1], seed=0), "value-range"),
@@ -51,9 +54,9 @@ HEIGHTS = CameraHeights(up=1.0, down=1.5)
         (lambda: SceneConfig(plan="round"), "value-range"),
         (lambda: write_pfm(np.ones((2, 4, 1)), "unwritten.pfm"), "shape-mismatch"),
     ],
-    ids=["focal-alpha", "focal-eta", "loss-weight", "loss-term", "sampling", "aggregator",
-         "mode", "nms-window", "box-extent", "noise-fraction", "noise-sum", "noise-offset",
-         "plan", "pfm-3d"],
+    ids=["focal-alpha", "focal-eta", "loss-weight", "loss-term", "aggregator",
+         "aggregator-column", "aggregator-huge", "aggregator-list", "mode", "nms-window",
+         "box-extent", "noise-fraction", "noise-sum", "noise-offset", "plan", "pfm-3d"],
 )
 def test_library_errors_carry_a_code(call, code):
     with pytest.raises(PanoroomError) as info:

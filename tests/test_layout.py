@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from panoroom import (
+    CameraHeights,
     GridSpec,
     LayoutMap,
     ManhattanRoom,
@@ -123,6 +124,15 @@ def test_layout_room_round_trip_synthetic_scenes():
         for v in scene.room.vertices:
             err = np.min(np.linalg.norm(back.vertices - v, axis=1))
             assert err < 1e-6
+
+
+def test_layout_to_room_needs_four_corner_peaks():
+    layout = flat_layout()
+    prob = layout.corner_prob.copy()
+    prob[[10, 50, 90]] = 1.0  # three walls cannot close a Manhattan room
+    layout = LayoutMap(layout.ceil_rows, layout.floor_rows, prob)
+    with pytest.raises(CornerExtractionError):
+        layout_to_room(layout, CameraHeights(up=1.0, down=1.5), GridSpec(width=128, height=64))
 
 
 def test_snap_produces_axis_aligned_edges():
