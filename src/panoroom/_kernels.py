@@ -27,6 +27,8 @@ Geometry inputs are plain arrays:
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .equirect import lat_to_row, lon_to_col, pixel_center_lats, pixel_center_lons, wrap_angle
@@ -125,6 +127,63 @@ def _slab_into(best, box, dx, dy, dz):
     np.copyto(best, tn, where=ok & (tn <= tf) & (tn > 0.0) & (tn < best))
 
 
+class ShellParts(NamedTuple):
+    """What the room shell's depth at a pixel is built from, per row and per
+    column. ``cl`` and ``dz`` are cos and sin of the pixel-centre latitudes
+    and ``t_plane`` the floor/ceiling plane distance, each (H, 1);
+    ``cos_lon`` and ``sin_lon`` are the (W,) column directions. Each column's
+    nearest wall is the edge its horizontal ray crosses first, with
+    direction (``ex``, ``ey``) and numerator ``num`` = ex*ay - ey*ax;
+    ``missed`` marks the columns that cross no edge."""
+
+    cl: np.ndarray
+    dz: np.ndarray
+    t_plane: np.ndarray
+    cos_lon: np.ndarray
+    sin_lon: np.ndarray
+    ex: np.ndarray
+    ey: np.ndarray
+    num: np.ndarray
+    missed: np.ndarray
+
+
+def shell_parts(edges, cam_down, cam_up, grid) -> ShellParts:
+    """The per-row and per-column factors of the room shell's depth."""
+    lat = pixel_center_lats(grid)[:, None]
+    lon = pixel_center_lons(grid)
+    dz = np.sin(lat)
+    cos_lon = np.cos(lon)
+    sin_lon = np.sin(lon)
+    _, k = _first_crossing(edges, cos_lon, sin_lon)
+    ax, ay, bx, by = edges[np.maximum(k, 0)].T
+    ex = bx - ax
+    ey = by - ay
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_plane = np.where(dz < 0.0, -cam_down / dz, np.where(dz > 0.0, cam_up / dz, np.inf))
+    return ShellParts(np.cos(lat), dz, t_plane, cos_lon, sin_lon, ex, ey, ex * ay - ey * ax, k < 0)
+
+
+def shell_depth(parts: ShellParts, rows: slice) -> np.ndarray:
+    """Radial distance to the room shell at the pixel centres of ``rows``,
+    (rows, W): each column's nearest wall against the floor/ceiling plane.
+
+    The wall distance is num / (ex*dy - ey*dx) with the ray direction
+    (dx, dy) = cl * (cos_lon, sin_lon), rounded in the same order as a
+    per-pixel direction so every depth keeps its exact bits.
+    """
+    cl = parts.cl[rows]
+    det = np.multiply(cl, parts.sin_lon)
+    det *= parts.ex
+    ey_dx = np.multiply(cl, parts.cos_lon)
+    ey_dx *= parts.ey
+    det -= ey_dx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shell = np.divide(parts.num, det, out=det)
+    shell[:, parts.missed] = np.inf
+    np.minimum(shell, parts.t_plane[rows], out=shell)
+    return shell
+
+
 def raycast(edges, cam_down, cam_up, boxes, grid):
     """Radial distance to the first surface at every pixel centre, (H, W).
 
@@ -134,32 +193,8 @@ def raycast(edges, cam_down, cam_up, boxes, grid):
     ``footprints`` is empty; outside the footprints the two hold the same
     bits.
     """
-    lat = pixel_center_lats(grid)[:, None]
-    lon = pixel_center_lons(grid)[None, :]
-    cl = np.cos(lat)
-    cos_lon = np.cos(lon)
-    sin_lon = np.sin(lon)
-    dz = np.sin(lat)
-
-    # Room shell: each column's nearest wall against the floor/ceiling plane.
-    # The wall distance is (ex*ay - ey*ax) / (ex*dy - ey*dx) with the ray
-    # direction (dx, dy) = cl * (cos_lon, sin_lon), rounded in the same
-    # order as a per-pixel direction so every depth keeps its exact bits.
-    _, k = _first_crossing(edges, cos_lon[0], sin_lon[0])
-    ax, ay, bx, by = edges[np.maximum(k, 0)].T
-    ex = bx - ax
-    ey = by - ay
-    det = np.multiply(cl, sin_lon)
-    det *= ex
-    ey_dx = np.multiply(cl, cos_lon)
-    ey_dx *= ey
-    det -= ey_dx
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shell = np.divide(ex * ay - ey * ax, det, out=det)
-        t_plane = np.where(dz < 0.0, -cam_down / dz, np.where(dz > 0.0, cam_up / dz, np.inf))
-    shell[:, k < 0] = np.inf
-    np.minimum(shell, t_plane, out=shell)
-
+    parts = shell_parts(edges, cam_down, cam_up, grid)
+    shell = shell_depth(parts, slice(None))
     if len(boxes) == 0:
         return shell, shell, []
     depth = shell.copy()
@@ -168,8 +203,8 @@ def raycast(edges, cam_down, cam_up, boxes, grid):
         for box in boxes:
             rows, col_slices = _box_footprint(box, grid)
             for cols in col_slices:
-                c = cl[rows]
-                dirs = (c * cos_lon[:, cols], c * sin_lon[:, cols], dz[rows])
+                c = parts.cl[rows]
+                dirs = (c * parts.cos_lon[cols], c * parts.sin_lon[cols], parts.dz[rows])
                 _slab_into(depth[rows, cols], box, *dirs)
                 footprints.append((rows, cols))
     return shell, depth, footprints

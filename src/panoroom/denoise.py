@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .bgdepth import DepthMap, require_same_grid
+from .bgdepth import DepthMap, _row_bands, require_same_grid
 from .equirect import GridSpec, pixel_center_dirs_at
 from .errors import ShapeMismatchError, ValueRangeError
 from .layout import ManhattanRoom
@@ -56,10 +56,15 @@ def denoise_depth(
         raise ShapeMismatchError("depth map grid differs from requested grid")
 
     d = gt.values
-    t, _, _ = _kernels.raycast(room.edges, room.cam_to_floor, room.cam_to_ceil, (), grid)
-    t += slack - _MARGIN
-    # written as "not kept" so that a NaN depth bound makes a candidate
-    flat = np.flatnonzero(~(d <= t))
+    parts = _kernels.shell_parts(room.edges, room.cam_to_floor, room.cam_to_ceil, grid)
+    bands = []
+    for rows in _row_bands(grid):
+        t = _kernels.shell_depth(parts, rows)
+        t += slack - _MARGIN
+        # written as "not kept" so that a NaN depth bound makes a candidate
+        (band,) = np.nonzero(~(d[rows] <= t).ravel())
+        bands.append(band + rows.start * grid.width)
+    flat = np.concatenate(bands)
     rows, cols = np.divmod(flat, grid.width)
     points = pixel_center_dirs_at(rows, cols, grid)
     points *= np.take(d, flat)[:, None]

@@ -18,7 +18,8 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .equirect import GridSpec, pixel_center_dirs_at
+from .bgdepth import _row_bands
+from .equirect import GridSpec, pixel_center_lats, pixel_center_lons
 from .errors import (
     PfmHeaderError,
     PfmMagicError,
@@ -334,15 +335,33 @@ def _format_points(pts: np.ndarray) -> bytes:
     return field[keep].tobytes()
 
 
+def _unproject_bands(depth_values: np.ndarray, grid: GridSpec):
+    """The (N, 3) points of each row band's valid pixels (depth > 0) in
+    row-major order: the pixel-centre direction times the depth, with the
+    products of ``pixel_center_dirs_at`` rounded in the same order."""
+    lat = pixel_center_lats(grid)[:, None]
+    lon = pixel_center_lons(grid)
+    cos_lat = np.cos(lat)
+    sin_lat = np.sin(lat)
+    cos_lon = np.cos(lon)
+    sin_lon = np.sin(lon)
+    for rows in _row_bands(grid):
+        d = depth_values[rows]
+        valid = d > 0
+        pts = np.empty((np.count_nonzero(valid), 3))
+        pts[:, 0] = (cos_lat[rows] * cos_lon)[valid]
+        pts[:, 1] = (cos_lat[rows] * sin_lon)[valid]
+        pts[:, 2] = np.broadcast_to(sin_lat[rows], d.shape)[valid]
+        pts *= d[valid][:, None]
+        yield pts
+
+
 def write_ply_pointcloud(depth_values: np.ndarray, grid: GridSpec, path: str) -> None:
     """Unproject valid pixels to 3D and write an ASCII PLY point cloud."""
-    rows, cols = np.nonzero(depth_values > 0)
-    pts = pixel_center_dirs_at(rows, cols, grid)
-    pts *= depth_values[rows, cols][:, None]
     lines = [
         "ply",
         "format ascii 1.0",
-        f"element vertex {len(pts)}",
+        f"element vertex {np.count_nonzero(depth_values > 0)}",
         "property float x",
         "property float y",
         "property float z",
@@ -351,6 +370,7 @@ def write_ply_pointcloud(depth_values: np.ndarray, grid: GridSpec, path: str) ->
     header = ("\n".join(lines) + "\n").encode("ascii")
     body = (
         _format_points(pts[i : i + PLY_CHUNK_POINTS])
+        for pts in _unproject_bands(depth_values, grid)
         for i in range(0, len(pts), PLY_CHUNK_POINTS)
     )
     _atomic_write(path, itertools.chain((header,), body))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bgdepth import DepthMap, _GridMap, require_same_grid
+from .bgdepth import DepthMap, _GridMap, _row_bands, require_same_grid
 from .errors import ValueRangeError
 
 DEFAULT_SEG_GAMMA = 0.1  # meters
@@ -36,24 +36,27 @@ def fuse_depth(coarse: DepthMap, background: DepthMap, seg: SegMap) -> DepthMap:
     Invalid pixels fall back to whichever input is valid; 0 when neither is.
     """
     grid = require_same_grid(coarse, background, seg)
-    c = coarse.values
-    b = background.values
-    p = seg.values
-    out = b * p
-    rest = 1.0 - p
-    rest *= c
-    out += rest
-    c_missing = c == 0
-    np.copyto(out, b, where=c_missing)
-    b_missing = b == 0
-    if b_missing.any():  # a background map rarely has holes
-        np.copyto(out, c, where=b_missing)
-        # +0.0 even where an input holds -0.0
-        c_missing &= b_missing
-        np.copyto(out, 0.0, where=c_missing)
-    # the inputs are finite and >= 0; the rounded blend is not proven finite
-    if not np.isfinite(out).all():
-        raise ValueRangeError("depth values must be finite")
+    out = np.empty(grid.shape)
+    for rows in _row_bands(grid):
+        c = coarse.values[rows]
+        b = background.values[rows]
+        p = seg.values[rows]
+        o = out[rows]
+        np.multiply(b, p, out=o)
+        rest = 1.0 - p
+        rest *= c
+        o += rest
+        c_missing = c == 0
+        np.copyto(o, b, where=c_missing)
+        b_missing = b == 0
+        if b_missing.any():  # a background map rarely has holes
+            np.copyto(o, c, where=b_missing)
+            # +0.0 even where an input holds -0.0
+            c_missing &= b_missing
+            np.copyto(o, 0.0, where=c_missing)
+        # the inputs are finite and >= 0; the rounded blend is not proven finite
+        if not np.isfinite(o).all():
+            raise ValueRangeError("depth values must be finite")
     return DepthMap._own(grid, out)
 
 
@@ -67,8 +70,12 @@ def derive_seg_labels(
     if not gamma > 0:
         raise ValueRangeError(f"gamma must be > 0, got {gamma}")
     grid = require_same_grid(gt, background)
-    residual = gt.values - background.values
-    np.abs(residual, out=residual)
-    close = residual < gamma
-    close &= gt.values > 0
-    return SegMap._own(grid, close.astype(np.float64))
+    out = np.empty(grid.shape)
+    for rows in _row_bands(grid):
+        g = gt.values[rows]
+        residual = g - background.values[rows]
+        np.abs(residual, out=residual)
+        close = residual < gamma
+        close &= g > 0
+        out[rows] = close
+    return SegMap._own(grid, out)

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bgdepth import DepthMap, require_same_grid
+from . import bgdepth
+from .bgdepth import DepthMap, _row_bands, require_same_grid
 from .errors import NoValidSamplesError, ValueRangeError
 from .fusion import SegMap
 
@@ -64,43 +65,77 @@ class LossWeights:
             raise ValueRangeError("loss weights must be >= 0")
 
 
-def eval_metrics(pred: DepthMap, gt: DepthMap, mask: SegMap | None = None) -> MetricsReport:
-    """Standard depth metrics over valid pixels (gt > 0, mask >= 0.5 if given)."""
-    require_same_grid(pred, gt)
-    valid = gt.values > 0
-    if mask is not None:
-        require_same_grid(gt, mask)
-        valid &= mask.values >= 0.5
-    n = np.count_nonzero(valid)
-    if n == 0:
-        raise NoValidSamplesError("no valid pixels to evaluate")
-    if n == valid.size:
-        # the same 1-D arrays, in the same order, as the gathers below
-        p = pred.values.ravel()
-        g = gt.values.ravel()
-    else:
-        p = pred.values[valid]
-        g = gt.values[valid]
+def _pairwise(lo: int, hi: int, piece):
+    """The sum of ``piece(a, b)`` over the pieces [a, b) that numpy's
+    pairwise summation makes of [lo, hi).
+
+    ``np.add.reduce`` of a contiguous float64 array halves it (the first
+    half rounded down to a multiple of 8) until a half holds at most 128
+    values, which it sums in one loop, and adds the two sums of each split.
+    Cutting [lo, hi) the same way down to pieces of at most
+    ``bgdepth._BAND_VALUES`` (and never below 128) values gives pieces that
+    are nodes of that tree. When ``piece`` returns the ``np.add.reduce`` of
+    its piece, the result has the bits of ``np.add.reduce`` over [lo, hi).
+    """
+    n = hi - lo
+    if n <= max(bgdepth._BAND_VALUES, 128):
+        return piece(lo, hi)
+    half = n // 2
+    half -= half % 8
+    return _pairwise(lo, lo + half, piece) + _pairwise(lo + half, hi, piece)
+
+
+def _error_sums(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Sums of |e| / g, e^2 / g, e^2 and |e| with e = p - g, then the counts
+    of max(p / g, g / p) below 1.25, 1.25^2 and 1.25^3."""
     diff = p - g
     abs_diff = np.abs(diff)
     sq_diff = np.square(diff, out=diff)
-    scaled = abs_diff / g
-    abs_rel = np.mean(scaled)
-    sq_rel = np.mean(np.divide(sq_diff, g, out=scaled))
-    rmse = np.sqrt(np.mean(sq_diff))
-    mae = np.mean(abs_diff)
+    scaled = np.divide(abs_diff, g)
+    sums = [np.add.reduce(scaled), np.add.reduce(np.divide(sq_diff, g, out=scaled))]
+    sums += [np.add.reduce(sq_diff), np.add.reduce(abs_diff)]
     # max(p / g, g / p), in two buffers that are no longer needed
     with np.errstate(divide="ignore"):
         ratio = np.divide(p, g, out=scaled)
         np.maximum(ratio, np.divide(g, p, out=sq_diff), out=ratio)
+    sums += [np.count_nonzero(ratio < t) for t in (1.25, 1.25**2, 1.25**3)]
+    return np.array(sums, dtype=np.float64)
+
+
+def eval_metrics(pred: DepthMap, gt: DepthMap, mask: SegMap | None = None) -> MetricsReport:
+    """Standard depth metrics over valid pixels (gt > 0, mask >= 0.5 if given).
+
+    The valid pixels are evaluated piece by piece, cut as ``_pairwise``
+    cuts them, so each mean has the bits of ``np.mean`` over the gathered
+    valid pixels.
+    """
+    grid = require_same_grid(pred, gt)
+    if mask is not None:
+        require_same_grid(gt, mask)
+    valid = np.empty(grid.shape, dtype=bool)
+    for rows in _row_bands(grid):
+        v = np.greater(gt.values[rows], 0, out=valid[rows])
+        if mask is not None:
+            v &= mask.values[rows] >= 0.5
+    n = int(np.count_nonzero(valid))
+    if n == 0:
+        raise NoValidSamplesError("no valid pixels to evaluate")
+    p = pred.values.ravel()
+    g = gt.values.ravel()
+    if n == valid.size:
+        sums = _pairwise(0, n, lambda a, b: _error_sums(p[a:b], g[a:b]))
+    else:
+        flat = np.flatnonzero(valid)
+        sums = _pairwise(0, n, lambda a, b: _error_sums(p.take(flat[a:b]), g.take(flat[a:b])))
+    abs_rel, sq_rel, sq, mae, *hits = (s / n for s in sums.tolist())
     return MetricsReport(
-        abs_rel=float(abs_rel),
-        sq_rel=float(sq_rel),
-        rmse=float(rmse),
-        mae=float(mae),
-        delta1=float(np.count_nonzero(ratio < 1.25) / n),
-        delta2=float(np.count_nonzero(ratio < 1.25**2) / n),
-        delta3=float(np.count_nonzero(ratio < 1.25**3) / n),
+        abs_rel=abs_rel,
+        sq_rel=sq_rel,
+        rmse=float(np.sqrt(sq)),
+        mae=mae,
+        delta1=hits[0],
+        delta2=hits[1],
+        delta3=hits[2],
     )
 
 

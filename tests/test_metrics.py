@@ -172,6 +172,19 @@ def test_eval_matches_gathered_reference_at_the_thresholds():
     assert same_report(report, gathered_eval(pred, gt))
 
 
+@pytest.mark.parametrize("height", [256, 512])
+def test_eval_matches_gathered_reference_over_many_bands(height):
+    # grids that eval_metrics cuts into many pieces: every pixel valid, some
+    # invalid, and masked
+    grid = GridSpec(width=2 * height, height=height)
+    scene = make_scene(3, plan="lshape", boxes=(2, 3))
+    clean = raycast_depth(scene, grid, include_foreground=True)
+    coarse = corrupt_depth(clean, NoiseSpec(salt_frac=0.3, outlier_frac=0.1, seed=3))
+    mask = gt_background_mask(scene, grid)
+    for pred, gt, m in [(coarse, clean, None), (clean, coarse, None), (coarse, clean, mask)]:
+        assert same_report(eval_metrics(pred, gt, m), gathered_eval(pred, gt, m))
+
+
 # --- focal loss -------------------------------------------------------------
 
 
