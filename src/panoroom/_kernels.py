@@ -132,19 +132,19 @@ class ShellParts(NamedTuple):
     column. ``cl`` and ``dz`` are cos and sin of the pixel-centre latitudes
     and ``t_plane`` the floor/ceiling plane distance, each (H, 1);
     ``cos_lon`` and ``sin_lon`` are the (W,) column directions. Each column's
-    nearest wall is the edge its horizontal ray crosses first, with
-    direction (``ex``, ``ey``) and numerator ``num`` = ex*ay - ey*ax;
-    ``missed`` marks the columns that cross no edge."""
+    nearest wall is the edge its horizontal ray crosses first, at horizontal
+    distance ``wall`` (inf for a column that crosses no edge), with direction
+    (``ex``, ``ey``) and numerator ``num`` = ex*ay - ey*ax."""
 
     cl: np.ndarray
     dz: np.ndarray
     t_plane: np.ndarray
     cos_lon: np.ndarray
     sin_lon: np.ndarray
+    wall: np.ndarray
     ex: np.ndarray
     ey: np.ndarray
     num: np.ndarray
-    missed: np.ndarray
 
 
 def shell_parts(edges, cam_down, cam_up, grid) -> ShellParts:
@@ -154,34 +154,13 @@ def shell_parts(edges, cam_down, cam_up, grid) -> ShellParts:
     dz = np.sin(lat)
     cos_lon = np.cos(lon)
     sin_lon = np.sin(lon)
-    _, k = _first_crossing(edges, cos_lon, sin_lon)
+    wall, k = _first_crossing(edges, cos_lon, sin_lon)
     ax, ay, bx, by = edges[np.maximum(k, 0)].T
     ex = bx - ax
     ey = by - ay
     with np.errstate(divide="ignore", invalid="ignore"):
         t_plane = np.where(dz < 0.0, -cam_down / dz, np.where(dz > 0.0, cam_up / dz, np.inf))
-    return ShellParts(np.cos(lat), dz, t_plane, cos_lon, sin_lon, ex, ey, ex * ay - ey * ax, k < 0)
-
-
-def shell_depth(parts: ShellParts, rows: slice) -> np.ndarray:
-    """Radial distance to the room shell at the pixel centres of ``rows``,
-    (rows, W): each column's nearest wall against the floor/ceiling plane.
-
-    The wall distance is num / (ex*dy - ey*dx) with the ray direction
-    (dx, dy) = cl * (cos_lon, sin_lon), rounded in the same order as a
-    per-pixel direction so every depth keeps its exact bits.
-    """
-    cl = parts.cl[rows]
-    det = np.multiply(cl, parts.sin_lon)
-    det *= parts.ex
-    ey_dx = np.multiply(cl, parts.cos_lon)
-    ey_dx *= parts.ey
-    det -= ey_dx
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shell = np.divide(parts.num, det, out=det)
-    shell[:, parts.missed] = np.inf
-    np.minimum(shell, parts.t_plane[rows], out=shell)
-    return shell
+    return ShellParts(np.cos(lat), dz, t_plane, cos_lon, sin_lon, wall, ex, ey, ex * ay - ey * ax)
 
 
 def raycast(edges, cam_down, cam_up, boxes, grid):
@@ -192,9 +171,21 @@ def raycast(edges, cam_down, cam_up, boxes, grid):
     two may differ. Without boxes ``depth`` is ``shell`` itself and
     ``footprints`` is empty; outside the footprints the two hold the same
     bits.
+
+    The shell's wall distance is num / (ex*dy - ey*dx) with the ray
+    direction (dx, dy) = cl * (cos_lon, sin_lon), rounded in the same order
+    as a per-pixel direction so every depth keeps its exact bits.
     """
     parts = shell_parts(edges, cam_down, cam_up, grid)
-    shell = shell_depth(parts, slice(None))
+    det = np.multiply(parts.cl, parts.sin_lon)
+    det *= parts.ex
+    ey_dx = np.multiply(parts.cl, parts.cos_lon)
+    ey_dx *= parts.ey
+    det -= ey_dx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shell = np.divide(parts.num, det, out=det)
+    shell[:, parts.wall == np.inf] = np.inf
+    np.minimum(shell, parts.t_plane, out=shell)
     if len(boxes) == 0:
         return shell, shell, []
     depth = shell.copy()

@@ -136,19 +136,3 @@ def pixel_center_dirs(grid: GridSpec) -> np.ndarray:
         axis=-1,
     )
 
-
-def pixel_center_dirs_at(rows, cols, grid: GridSpec) -> np.ndarray:
-    """(N, 3) unit ray directions at the pixel centers ``(rows[k], cols[k])``.
-
-    Bit-identical to ``pixel_center_dirs(grid)[rows, cols]`` (the same
-    products of the same per-row and per-column factors) without building
-    the (H, W, 3) array.
-    """
-    lat = pixel_center_lats(grid)
-    lon = pixel_center_lons(grid)
-    cl = np.cos(lat)[rows]
-    out = np.empty((len(cl), 3))
-    np.multiply(cl, np.cos(lon)[cols], out=out[:, 0])
-    np.multiply(cl, np.sin(lon)[cols], out=out[:, 1])
-    out[:, 2] = np.sin(lat)[rows]
-    return out

@@ -338,7 +338,7 @@ def _format_points(pts: np.ndarray) -> bytes:
 def _unproject_bands(depth_values: np.ndarray, grid: GridSpec):
     """The (N, 3) points of each row band's valid pixels (depth > 0) in
     row-major order: the pixel-centre direction times the depth, with the
-    products of ``pixel_center_dirs_at`` rounded in the same order."""
+    products of ``pixel_center_dirs`` rounded in the same order."""
     lat = pixel_center_lats(grid)[:, None]
     lon = pixel_center_lons(grid)
     cos_lat = np.cos(lat)

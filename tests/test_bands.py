@@ -120,11 +120,31 @@ def test_denoise_matches_whole_grid(monkeypatch, height, rows):
     assert got.tobytes() == want.tobytes()
 
 
+def subsequence_positions(sub, seq):
+    """Positions in ``seq`` of the rows of ``sub``, matched bit for bit and
+    in order, or None when ``sub`` is not an ordered subset of ``seq``."""
+    row = np.dtype((np.void, seq.dtype.itemsize * seq.shape[1]))
+    sub = np.ascontiguousarray(sub).view(row).ravel()
+    seq = np.ascontiguousarray(seq).view(row).ravel()
+    found = []
+    k = 0
+    for item in sub:
+        while k < len(seq) and seq[k] != item:
+            k += 1
+        if k == len(seq):
+            return None
+        found.append(k)
+        k += 1
+    return np.array(found, dtype=np.int64)
+
+
 @pytest.mark.parametrize("height", HEIGHTS)
 @pytest.mark.parametrize("rows", BAND_ROWS)
 def test_denoise_candidates_match_whole_grid_bound(monkeypatch, height, rows):
-    # the points denoise measures are those that the whole-grid bound
-    # d <= shell + slack - margin leaves undecided, in row-major order
+    # the points denoise measures are a row-major subset, with the same
+    # bits, of those that the whole-grid bound d <= shell + slack - margin
+    # leaves undecided; every candidate it leaves unmeasured is beyond the
+    # slack, and the map is the whole-grid rule's
     grid = GridSpec(width=2 * height, height=height)
     set_band_rows(monkeypatch, grid, rows)
     scene, _, coarse = noisy_scene(grid, 2)
@@ -137,12 +157,17 @@ def test_denoise_candidates_match_whole_grid_bound(monkeypatch, height, rows):
 
     monkeypatch.setattr(denoise, "shell_outside_distance", spy)
     d = coarse.values
+    points = (d[..., None] * pixel_center_dirs(grid)).reshape(-1, 3)
     for room in disagreeing_rooms(scene.room):
-        denoise_depth(coarse, bg, room, grid, 1.0)
+        got = denoise_depth(coarse, bg, room, grid, 1.0).values
         bound = shell_depth(room, grid) + (1.0 - denoise._MARGIN)
-        flat = np.flatnonzero(~(d <= bound))
-        want = d.ravel()[flat][:, None] * pixel_center_dirs(grid).reshape(-1, 3)[flat]
-        assert measured.pop().tobytes() == want.tobytes()
+        candidates = points[np.flatnonzero(~(d <= bound))]
+        seen = measured.pop()
+        at = subsequence_positions(seen, candidates)
+        assert at is not None
+        unmeasured = np.delete(candidates, at, axis=0)
+        assert np.all(shell_outside_distance(room, unmeasured) > 1.0)
+        assert got.tobytes() == full_grid_denoise(coarse, bg, room, grid, 1.0).tobytes()
 
 
 @pytest.mark.parametrize("height", HEIGHTS)

@@ -8,6 +8,7 @@ from panoroom import (
     NoiseSpec,
     SceneSpec,
     corrupt_depth,
+    denoise,
     denoise_depth,
     raycast_depth,
 )
@@ -196,3 +197,112 @@ def test_matches_full_grid_at_the_bound(height):
                 want = full_grid_denoise(gt, bg, room, grid, slack)
                 got = denoise_depth(gt, bg, room, grid, slack).values
                 assert np.array_equal(got, want), slack
+
+
+# --- the bounds that decide pixels without the exact distance ---------------
+
+
+def notch_room():
+    """An L-shaped room whose 4 x 4 m notch lies inside its bounding
+    rectangle: notch points are up to 2 m outside the polygon."""
+    v = np.array([[-3.0, -3.0], [5.0, -3.0], [5.0, 1.0], [1.0, 1.0], [1.0, 5.0], [-3.0, 5.0]])
+    return ManhattanRoom(v, cam_to_floor=1.5, cam_to_ceil=1.2)
+
+
+def as_rows(points):
+    return {p.tobytes() for p in np.ascontiguousarray(points)}
+
+
+@pytest.mark.parametrize("height", [33, 64])
+@pytest.mark.parametrize("slack", [1e-6, 1.0])
+def test_notch_points_reach_the_exact_distance(monkeypatch, height, slack):
+    # points in the bounding box's slab but outside the polygon by more
+    # than the slack: the box bound cannot replace them, the exact distance must
+    grid = GridSpec(width=2 * height, height=height)
+    room = notch_room()
+    dirs = pixel_center_dirs(grid)
+    depth = np.array(shell_depth(room, grid))
+    in_notch = np.zeros(grid.shape, dtype=bool)
+    for t in np.linspace(12.0, 0.5, 116):  # the nearest notch depth along each ray wins
+        pts = (t * dirs).reshape(-1, 3)
+        box = denoise._box_gap_sq(room, pts[:, 0], pts[:, 1], pts[:, 2]).reshape(grid.shape)
+        hit = (box == 0) & (shell_outside_distance(room, pts).reshape(grid.shape) > slack)
+        depth[hit] = t
+        in_notch |= hit
+    assert np.count_nonzero(in_notch) >= 20
+    gt = DepthMap(grid=grid, values=depth)
+    bg = DepthMap(grid=grid, values=np.full(grid.shape, 2.5))
+    measured = []
+
+    def spy(room, points):
+        measured.append(points.copy())
+        return shell_outside_distance(room, points)
+
+    monkeypatch.setattr(denoise, "shell_outside_distance", spy)
+    got = denoise_depth(gt, bg, room, grid, slack).values
+    assert np.array_equal(got, full_grid_denoise(gt, bg, room, grid, slack))
+    assert np.all(got[in_notch] == 2.5)
+    notch_points = depth[in_notch][:, None] * dirs[in_notch]
+    assert as_rows(notch_points) <= as_rows(measured[0])
+
+
+@pytest.mark.parametrize("height", [33, 65])
+def test_horizon_row_of_an_odd_grid(height):
+    # sin(lat) == 0: no cap bounds the row and its points sit mid-slab
+    grid = GridSpec(width=2 * height, height=height)
+    mid = height // 2
+    assert pixel_center_dirs(grid)[mid, :, 2].max() == 0.0
+    scene = make_scene(5, plan="lshape")
+    bg = raycast_depth(scene, grid, include_foreground=False)
+    rooms = [notch_room(), rotated_room(grid, grid.width // 8)] + disagreeing_rooms(scene.room)
+    for room in rooms:
+        t = shell_depth(room, grid)[mid]
+        for slack in SLACKS:
+            rows = [t + slack + o for o in (-1e-10, 1e-10, 0.5 * slack, 5.0 * slack, 40.0)]
+            rows += [_steps_from(t + slack, k) for k in (-3, 0, 3)]
+            for row in rows:
+                depth = np.array(bg.values)
+                depth[mid] = row
+                gt = DepthMap(grid=grid, values=depth)
+                want = full_grid_denoise(gt, bg, room, grid, slack)
+                got = denoise_depth(gt, bg, room, grid, slack).values
+                assert np.array_equal(got, want), slack
+
+
+def box_exit_depth(room, grid, gap):
+    """Depth along each pixel ray at which it leaves the shell's bounding box
+    grown by ``gap`` on every side: most such points lie ``gap`` from the box."""
+    lo = np.append(room.vertices.min(axis=0), -room.cam_to_floor) - gap
+    hi = np.append(room.vertices.max(axis=0), room.cam_to_ceil) + gap
+    dirs = pixel_center_dirs(grid)
+    with np.errstate(divide="ignore"):
+        exits = np.where(dirs > 0, hi / dirs, np.where(dirs < 0, lo / dirs, np.inf))
+    return exits.min(axis=-1)
+
+
+@pytest.mark.parametrize("height", [32, 33])
+@pytest.mark.parametrize("slack", SLACKS)
+def test_box_gap_at_slack_plus_margin(height, slack):
+    # depths within 3 ulp of box gap slack + margin, the box bound's
+    # threshold, and of box gap slack, where in a rectangle (box and shell
+    # agree) the exact distance decides; in a rectangle and an L-shaped room
+    grid = GridSpec(width=2 * height, height=height)
+    scene = make_scene(3)
+    bg = raycast_depth(scene, grid, include_foreground=False)
+    dirs = pixel_center_dirs(grid)
+    threshold = (slack + denoise._MARGIN) ** 2
+    for room in (scene.room, notch_room()):
+        above = below = 0
+        for gap in (slack + denoise._MARGIN, slack):
+            edge = box_exit_depth(room, grid, gap)
+            for k in range(-3, 4):
+                depth = _steps_from(edge, k)
+                pts = (depth[..., None] * dirs).reshape(-1, 3)
+                gap_sq = denoise._box_gap_sq(room, pts[:, 0], pts[:, 1], pts[:, 2])
+                above += np.count_nonzero(gap_sq > threshold)
+                below += np.count_nonzero(gap_sq <= threshold)
+                gt = DepthMap(grid=grid, values=depth)
+                want = full_grid_denoise(gt, bg, room, grid, slack)
+                got = denoise_depth(gt, bg, room, grid, slack).values
+                assert np.array_equal(got, want), (slack, gap, k)
+        assert above > 0 and below > 0

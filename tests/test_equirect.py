@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from panoroom import GridSpec, angles_to_pixel, pixel_to_angles, pixel_to_ray
-from panoroom.equirect import pixel_center_dirs, pixel_center_dirs_at, wrap_angle
+from panoroom.equirect import wrap_angle
 from panoroom.errors import CoordinateRangeError
 
 GRID = GridSpec(width=1024, height=512)
@@ -102,12 +102,3 @@ def test_wrapped_azimuth_difference():
     # 1010 columns forward wraps to -14 columns
     assert d == pytest.approx(-14 / 1024 * 2 * np.pi, abs=1e-12)
 
-
-@pytest.mark.parametrize("height", [1, 33, 64])
-def test_dirs_at_pixels_match_full_grid_bits(height):
-    grid = GridSpec(width=2 * height, height=height)
-    rng = np.random.default_rng(height)
-    rows, cols = np.nonzero(rng.random(grid.shape) < 0.3)
-    got = pixel_center_dirs_at(rows, cols, grid)
-    assert got.tobytes() == pixel_center_dirs(grid)[rows, cols].tobytes()
-    assert pixel_center_dirs_at(rows[:0], cols[:0], grid).shape == (0, 3)
