@@ -10,7 +10,7 @@ from .bgdepth import (
     resolve_camera_heights,
 )
 from .denoise import denoise_depth, shell_outside_distance
-from .equirect import GridSpec, Ray, SphereAngles, angles_to_pixel, pixel_to_angles, pixel_to_ray
+from .equirect import GridSpec
 from .fusion import SegMap, derive_seg_labels, fuse_depth
 from .layout import (
     CameraHeights,
@@ -25,7 +25,6 @@ from .synth import (
     NoiseSpec,
     SceneConfig,
     SceneSpec,
-    background_mask,
     corrupt_depth,
     generate_scene,
     gt_background_mask,

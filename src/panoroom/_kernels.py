@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .equirect import lat_to_row, lon_to_col, pixel_center_lats, pixel_center_lons, wrap_angle
+from .equirect import lat_to_row, lon_to_col, pixel_center_trig, wrap_angle
 
 # Read by the benchmark's environment report; there is no compiled backend.
 USE_NUMBA = False
@@ -149,18 +149,14 @@ class ShellParts(NamedTuple):
 
 def shell_parts(edges, cam_down, cam_up, grid) -> ShellParts:
     """The per-row and per-column factors of the room shell's depth."""
-    lat = pixel_center_lats(grid)[:, None]
-    lon = pixel_center_lons(grid)
-    dz = np.sin(lat)
-    cos_lon = np.cos(lon)
-    sin_lon = np.sin(lon)
+    cl, dz, cos_lon, sin_lon = pixel_center_trig(grid)
     wall, k = _first_crossing(edges, cos_lon, sin_lon)
     ax, ay, bx, by = edges[np.maximum(k, 0)].T
     ex = bx - ax
     ey = by - ay
     with np.errstate(divide="ignore", invalid="ignore"):
         t_plane = np.where(dz < 0.0, -cam_down / dz, np.where(dz > 0.0, cam_up / dz, np.inf))
-    return ShellParts(np.cos(lat), dz, t_plane, cos_lon, sin_lon, wall, ex, ey, ex * ay - ey * ax)
+    return ShellParts(cl, dz, t_plane, cos_lon, sin_lon, wall, ex, ey, ex * ay - ey * ax)
 
 
 def raycast(edges, cam_down, cam_up, boxes, grid):

@@ -99,7 +99,7 @@ def denoise_depth(
     flat = np.concatenate(bands)
     rows, cols = np.divmod(flat, grid.width)
     depth = np.take(d, flat)
-    # the bits of pixel_center_dirs(grid)[rows, cols] * depth
+    # the bits of the tests' pixel_center_dirs(grid)[rows, cols] * depth
     cl = parts.cl[rows, 0]
     x = np.multiply(cl, parts.cos_lon[cols])
     x *= depth

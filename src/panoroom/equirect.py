@@ -1,4 +1,4 @@
-"""Equirectangular pixel <-> spherical angle <-> 3D ray conversions.
+"""Equirectangular pixel <-> spherical angle conversions and pixel-centre rays.
 
 Conventions used everywhere in this package, whose only pixel <-> angle
 formulas are :func:`row_to_lat`, :func:`lat_to_row`, :func:`col_to_lon` and
@@ -17,11 +17,10 @@ formulas are :func:`row_to_lat`, :func:`lat_to_row`, :func:`col_to_lon` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CoordinateRangeError, ShapeMismatchError, ValueRangeError
+from .errors import ShapeMismatchError, ValueRangeError
 
 
 @dataclass(frozen=True)
@@ -44,16 +43,6 @@ class GridSpec:
         return (self.height, self.width)
 
 
-class SphereAngles(NamedTuple):
-    lat: float
-    lon: float
-
-
-class Ray(NamedTuple):
-    origin: np.ndarray
-    dir: np.ndarray
-
-
 def row_to_lat(row, grid: GridSpec):
     """Latitude of continuous pixel row(s); no range check."""
     return (0.5 - row / grid.height) * np.pi
@@ -74,39 +63,6 @@ def lon_to_col(lon, grid: GridSpec):
     return (lon + np.pi) / (2.0 * np.pi) * grid.width
 
 
-def pixel_to_angles(row, col, grid: GridSpec) -> SphereAngles:
-    """Map continuous pixel coordinates to (lat, lon); accepts arrays."""
-    row = np.asarray(row, dtype=np.float64)
-    col = np.asarray(col, dtype=np.float64)
-    if np.any(row < 0) or np.any(row > grid.height) or np.any(col < 0) or np.any(col > grid.width):
-        raise CoordinateRangeError(
-            f"pixel coordinates outside [0,{grid.height}]x[0,{grid.width}]"
-        )
-    return SphereAngles(row_to_lat(row, grid)[()], col_to_lon(col, grid)[()])
-
-
-def angles_to_pixel(a: SphereAngles, grid: GridSpec):
-    """Inverse of :func:`pixel_to_angles` (exact, no rounding)."""
-    row = lat_to_row(np.asarray(a[0], dtype=np.float64), grid)
-    col = lon_to_col(np.asarray(a[1], dtype=np.float64), grid)
-    return row[()], col[()]
-
-
-def angles_to_dir(lat, lon) -> np.ndarray:
-    """Unit direction(s) for spherical angles; last axis is (x, y, z)."""
-    lat = np.asarray(lat, dtype=np.float64)
-    lon = np.asarray(lon, dtype=np.float64)
-    cl = np.cos(lat)
-    return np.stack([cl * np.cos(lon), cl * np.sin(lon), np.sin(lat)], axis=-1)
-
-
-def pixel_to_ray(row, col, grid: GridSpec) -> Ray:
-    """Ray from the camera center through a continuous pixel coordinate."""
-    lat, lon = pixel_to_angles(row, col, grid)
-    d = angles_to_dir(lat, lon)
-    return Ray(np.zeros(d.shape, dtype=np.float64), d)
-
-
 def wrap_angle(a):
     """Wrap angle(s) into [-pi, pi)."""
     return (np.asarray(a, dtype=np.float64) + np.pi) % (2.0 * np.pi) - np.pi
@@ -122,17 +78,10 @@ def pixel_center_lons(grid: GridSpec) -> np.ndarray:
     return col_to_lon(np.arange(grid.width, dtype=np.float64) + 0.5, grid)
 
 
-def pixel_center_dirs(grid: GridSpec) -> np.ndarray:
-    """(H, W, 3) unit ray directions at all pixel centers."""
+def pixel_center_trig(grid: GridSpec):
+    """cos and sin of the pixel-centre latitudes, each (H, 1), then of the
+    longitudes, each (W,). The ray direction at a pixel centre is
+    (cos_lat * cos_lon, cos_lat * sin_lon, sin_lat)."""
     lat = pixel_center_lats(grid)[:, None]
-    lon = pixel_center_lons(grid)[None, :]
-    cl = np.cos(lat)
-    return np.stack(
-        [
-            cl * np.cos(lon),
-            cl * np.sin(lon),
-            np.broadcast_to(np.sin(lat), (grid.height, grid.width)),
-        ],
-        axis=-1,
-    )
-
+    lon = pixel_center_lons(grid)
+    return np.cos(lat), np.sin(lat), np.cos(lon), np.sin(lon)

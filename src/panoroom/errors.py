@@ -9,12 +9,6 @@ class PanoroomError(Exception):
     code = "error"
 
 
-class CoordinateRangeError(PanoroomError):
-    """Continuous pixel coordinate outside the image domain."""
-
-    code = "coordinate-range"
-
-
 class ShapeMismatchError(PanoroomError, ValueError):
     """Maps that must share a grid do not, or a grid is not 2:1."""
 
@@ -24,7 +18,8 @@ class ShapeMismatchError(PanoroomError, ValueError):
 class ValueRangeError(PanoroomError, ValueError):
     """A value lies outside its allowed range: a non-finite or negative
     depth, a probability outside [0, 1], a boundary row outside its half of
-    the image, or a non-positive slack, threshold or size."""
+    the image, a non-positive slack, threshold or size, or a finite value
+    beyond the float32 range of a PFM."""
 
     code = "value-range"
 

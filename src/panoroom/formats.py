@@ -19,7 +19,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from .bgdepth import _row_bands
-from .equirect import GridSpec, pixel_center_lats, pixel_center_lons
+from .equirect import GridSpec, pixel_center_trig
 from .errors import (
     PfmHeaderError,
     PfmMagicError,
@@ -90,8 +90,13 @@ def write_pfm(values: np.ndarray, path: str) -> None:
     h, w = arr.shape
     header = f"Pf\n{w} {h}\n-1.0\n".encode("ascii")
     # the only copy; order="C" because a transposed input would convert to
-    # Fortran order, whose buffer the file write rejects
-    payload = np.flipud(arr).astype("<f4", order="C")
+    # Fortran order, whose buffer the file write rejects. A finite value
+    # beyond the float32 range overflows; inf and NaN cast as they are.
+    try:
+        with np.errstate(over="raise"):
+            payload = np.flipud(arr).astype("<f4", order="C")
+    except FloatingPointError:
+        raise ValueRangeError("value beyond the float32 range of a PFM") from None
     _atomic_write(path, (header, payload))
 
 
@@ -152,9 +157,9 @@ def layout_to_dict(layout: LayoutMap, grid: GridSpec) -> dict:
     return {
         "width": grid.width,
         "height": grid.height,
-        "ceil": [float(v) for v in layout.ceil_rows],
-        "floor": [float(v) for v in layout.floor_rows],
-        "corner_prob": [float(v) for v in layout.corner_prob],
+        "ceil": layout.ceil_rows.tolist(),
+        "floor": layout.floor_rows.tolist(),
+        "corner_prob": layout.corner_prob.tolist(),
     }
 
 
@@ -220,7 +225,7 @@ def layout_from_dict(d: dict) -> tuple[LayoutMap, GridSpec]:
 
 def room_to_dict(room: ManhattanRoom) -> dict:
     return {
-        "vertices": [[float(x), float(y)] for x, y in room.vertices],
+        "vertices": room.vertices.tolist(),
         "cam_to_floor": float(room.cam_to_floor),
         "cam_to_ceil": float(room.cam_to_ceil),
     }
@@ -236,10 +241,7 @@ def room_from_dict(d: dict) -> ManhattanRoom:
 
 def scene_to_dict(scene: SceneSpec) -> dict:
     d = room_to_dict(scene.room)
-    d["boxes"] = [
-        {"min": [float(v) for v in b[:3]], "max": [float(v) for v in b[3:]]}
-        for b in scene.boxes
-    ]
+    d["boxes"] = [{"min": b[:3], "max": b[3:]} for b in scene.boxes.tolist()]
     d["seed"] = int(scene.seed)
     return d
 
@@ -338,13 +340,8 @@ def _format_points(pts: np.ndarray) -> bytes:
 def _unproject_bands(depth_values: np.ndarray, grid: GridSpec):
     """The (N, 3) points of each row band's valid pixels (depth > 0) in
     row-major order: the pixel-centre direction times the depth, with the
-    products of ``pixel_center_dirs`` rounded in the same order."""
-    lat = pixel_center_lats(grid)[:, None]
-    lon = pixel_center_lons(grid)
-    cos_lat = np.cos(lat)
-    sin_lat = np.sin(lat)
-    cos_lon = np.cos(lon)
-    sin_lon = np.sin(lon)
+    products rounded in the same order as the tests' ``pixel_center_dirs``."""
+    cos_lat, sin_lat, cos_lon, sin_lon = pixel_center_trig(grid)
     for rows in _row_bands(grid):
         d = depth_values[rows]
         valid = d > 0

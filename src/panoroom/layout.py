@@ -143,20 +143,23 @@ class ManhattanRoom:
         return CameraHeights(up=self.cam_to_ceil, down=self.cam_to_floor)
 
 
-def extract_corners(layout: LayoutMap, prob_threshold: float = 0.5, nms_window: int = 4) -> np.ndarray:
+_CORNER_THRESHOLD = 0.5
+_CORNER_NMS_WINDOW = 4
+
+
+def extract_corners(layout: LayoutMap) -> np.ndarray:
     """Peak-pick corner columns: threshold plus circular non-max suppression.
 
-    A column survives when its probability reaches the threshold and is the
-    (leftmost, on ties) maximum within +-nms_window columns.
+    A column survives when its probability reaches ``_CORNER_THRESHOLD`` and
+    is the (leftmost, on ties) maximum within +-``_CORNER_NMS_WINDOW``
+    columns.
     """
-    if nms_window < 1:
-        raise ValueRangeError(f"nms_window must be >= 1, got {nms_window}")
     p = layout.corner_prob
     w = len(p)
     keep = []
-    for v in np.nonzero(p >= prob_threshold)[0]:
+    for v in np.nonzero(p >= _CORNER_THRESHOLD)[0]:
         ok = True
-        for o in range(-nms_window, nms_window + 1):
+        for o in range(-_CORNER_NMS_WINDOW, _CORNER_NMS_WINDOW + 1):
             if o == 0:
                 continue
             u = (v + o) % w
@@ -214,14 +217,7 @@ def snap_manhattan(vertices: np.ndarray) -> np.ndarray:
     return out
 
 
-def layout_to_room(
-    layout: LayoutMap,
-    heights: CameraHeights,
-    grid: GridSpec,
-    snap: bool = True,
-    prob_threshold: float = 0.5,
-    nms_window: int = 4,
-) -> ManhattanRoom:
+def layout_to_room(layout: LayoutMap, heights: CameraHeights, grid: GridSpec) -> ManhattanRoom:
     """Invert a layout into a floor-plan polygon anchored by the floor boundary.
 
     Each wall between consecutive corner columns contributes the boundary
@@ -229,10 +225,11 @@ def layout_to_room(
     plane through ``heights.down``); a vertex is recovered as the
     intersection of the two adjacent wall lines, which is exact whenever the
     layout itself is. Walls too narrow to fit a line fall back to the corner
-    column's own boundary sample.
+    column's own boundary sample. The vertices are then snapped to
+    alternating axis-aligned edges.
     """
     layout.validate_against(grid)
-    corner_cols = extract_corners(layout, prob_threshold, nms_window)
+    corner_cols = extract_corners(layout)
     n = len(corner_cols)
 
     w = grid.width
@@ -265,8 +262,7 @@ def layout_to_room(
             vertex = np.array([px[c], py[c]])
         verts[k] = vertex
 
-    if snap:
-        verts = snap_manhattan(verts)
+    verts = snap_manhattan(verts)
     return ManhattanRoom(verts, cam_to_floor=heights.down, cam_to_ceil=heights.up)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .bgdepth import DepthMap, require_same_grid
+from .bgdepth import DepthMap
 from .equirect import GridSpec
 from .errors import PlacementError, ValueRangeError
 from .fusion import SegMap
@@ -194,36 +194,23 @@ def raycast_depth(scene: SceneSpec, grid: GridSpec, include_foreground: bool = T
     return DepthMap._own(grid, depth)
 
 
-def _check_eps(eps: float) -> None:
-    # the footprint-only mask of render_scene holds only for eps >= 0
-    if not eps >= 0:
-        raise ValueRangeError(f"eps must be >= 0, got {eps}")
-
-
 def render_scene(
     scene: SceneSpec, grid: GridSpec, eps: float = 1e-6
 ) -> tuple[DepthMap, DepthMap, SegMap]:
     """The renders with and without foreground, and their background mask,
     from one shell pass.
 
-    The mask equals ``background_mask(gt, bg, eps)``: the renders hold the
+    The mask is 1 where the two renders agree within ``eps``: they hold the
     same bits outside the box footprints, so only those are compared.
     """
-    _check_eps(eps)
+    # the footprint-only mask holds only for eps >= 0
+    if not eps >= 0:
+        raise ValueRangeError(f"eps must be >= 0, got {eps}")
     shell, depth, footprints = _render(scene, grid, scene.boxes)
     mask = np.ones(grid.shape)
     for rows, cols in footprints:
         mask[rows, cols] = np.abs(depth[rows, cols] - shell[rows, cols]) <= eps
     return DepthMap._own(grid, depth), DepthMap._own(grid, shell), SegMap._own(grid, mask)
-
-
-def background_mask(with_fg: DepthMap, without_fg: DepthMap, eps: float = 1e-6) -> SegMap:
-    """1 where two renders of one scene, with and without foreground, agree
-    within eps."""
-    _check_eps(eps)
-    grid = require_same_grid(with_fg, without_fg)
-    agree = np.abs(with_fg.values - without_fg.values) <= eps
-    return SegMap._own(grid, agree.astype(np.float64))
 
 
 def gt_background_mask(scene: SceneSpec, grid: GridSpec, eps: float = 1e-6) -> SegMap:

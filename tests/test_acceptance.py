@@ -34,8 +34,9 @@ from panoroom import (
 from panoroom.bgdepth import WALL, cap_depth, classify_regions
 from panoroom.cli import main as cli_main
 from panoroom.denoise import shell_outside_distance
-from panoroom.equirect import pixel_center_dirs
 from panoroom.formats import read_pfm, write_pfm
+
+from conftest import pixel_center_dirs
 
 FULL = GridSpec(width=1024, height=512)
 HALF = GridSpec(width=512, height=256)
@@ -246,7 +247,7 @@ def test_criterion_9_layout_round_trip():
     worst = 0.0
     for scene in scenes(100, seed0=9000):
         layout = room_to_layout(scene.room, FULL)
-        back = layout_to_room(layout, scene.room.heights, FULL, snap=False, nms_window=1)
+        back = layout_to_room(layout, scene.room.heights, FULL)
         assert back.vertices.shape == scene.room.vertices.shape
         for v in scene.room.vertices:
             err = float(np.min(np.linalg.norm(back.vertices - v, axis=1)))

@@ -30,10 +30,9 @@ from panoroom import (
     resolve_background_depth,
 )
 from panoroom.denoise import shell_outside_distance
-from panoroom.equirect import pixel_center_dirs
 from panoroom.errors import ValueRangeError
 
-from conftest import make_scene
+from conftest import make_scene, pixel_center_dirs
 from test_bgdepth import nested_where_background
 from test_denoise import disagreeing_rooms, full_grid_denoise, shell_depth
 from test_fusion import nested_where_fuse, reference_labels, salted_inputs

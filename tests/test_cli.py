@@ -213,6 +213,19 @@ def bg_with_layout(tmp_path, **change):
     return ["bg", "--layout", path, "--coarse", coarse, "--out", tmp_path / "bg.pfm"]
 
 
+def test_bg_beyond_float32_is_value_range(tmp_path, capsys):
+    # floor rows just below the horizon put the floor at a huge range, and a
+    # near-float32-max coarse map scales it past the float32 range
+    path = tmp_path / "layout.json"
+    path.write_text(json.dumps({"width": 16, "height": 8, "ceil": [1.0] * 16,
+                                "floor": [4.001] * 16, "corner_prob": [0.0] * 16}))
+    coarse = tmp_path / "coarse.pfm"
+    write_pfm(np.full((8, 16), 3e38, dtype=np.float32), str(coarse))
+    rc = run(["bg", "--layout", path, "--coarse", coarse, "--out", tmp_path / "bg.pfm"])
+    assert_one_error_line(capsys, rc, "value-range")
+    assert sorted(os.listdir(tmp_path)) == ["coarse.pfm", "layout.json"]
+
+
 def denoise_with_slack(tmp_path, slack, cam_to_floor=1.5, x_max=1):
     room = tmp_path / "room.json"
     room.write_text(json.dumps(

@@ -13,9 +13,9 @@ from panoroom import (
     raycast_depth,
 )
 from panoroom.denoise import shell_outside_distance
-from panoroom.equirect import pixel_center_dirs, pixel_center_lons
+from panoroom.equirect import pixel_center_lons
 
-from conftest import make_scene
+from conftest import make_scene, pixel_center_dirs
 
 GRID = GridSpec(width=128, height=64)
 

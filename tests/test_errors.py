@@ -11,18 +11,23 @@ from panoroom import (
     DepthMap,
     FocalParams,
     GridSpec,
+    LayoutMap,
     LossWeights,
+    ManhattanRoom,
     NoiseSpec,
     SceneConfig,
     SceneSpec,
+    eval_metrics,
     extract_corners,
+    generate_scene,
     resolve_background_depth,
     resolve_camera_heights,
     room_to_layout,
     total_loss,
 )
+from panoroom import errors, synth
 from panoroom.errors import PanoroomError
-from panoroom.formats import write_pfm
+from panoroom.formats import layout_from_dict, read_pfm, write_pfm
 
 from conftest import make_scene
 
@@ -46,7 +51,6 @@ HEIGHTS = CameraHeights(up=1.0, down=1.5)
         (lambda: resolve_camera_heights(LAYOUT, COARSE, GRID, aggregator=["median"]),
          "value-range"),
         (lambda: resolve_background_depth(LAYOUT, HEIGHTS, GRID, mode="approx"), "value-range"),
-        (lambda: extract_corners(LAYOUT, nms_window=0), "value-range"),
         (lambda: SceneSpec(room=SCENE.room, boxes=[0, 0, 0, 1, -1, 1], seed=0), "value-range"),
         (lambda: NoiseSpec(salt_frac=1.5), "value-range"),
         (lambda: NoiseSpec(salt_frac=0.6, outlier_frac=0.6), "value-range"),
@@ -55,11 +59,53 @@ HEIGHTS = CameraHeights(up=1.0, down=1.5)
         (lambda: write_pfm(np.ones((2, 4, 1)), "unwritten.pfm"), "shape-mismatch"),
     ],
     ids=["focal-alpha", "focal-eta", "loss-weight", "loss-term", "aggregator",
-         "aggregator-column", "aggregator-huge", "aggregator-list", "mode", "nms-window",
-         "box-extent", "noise-fraction", "noise-sum", "noise-offset", "plan", "pfm-3d"],
+         "aggregator-column", "aggregator-huge", "aggregator-list", "mode", "box-extent",
+         "noise-fraction", "noise-sum", "noise-offset", "plan", "pfm-3d"],
 )
 def test_library_errors_carry_a_code(call, code):
     with pytest.raises(PanoroomError) as info:
         call()
     assert info.value.code == code
     assert isinstance(info.value, ValueError)
+
+
+def _pfm(tmp_path, data: bytes) -> str:
+    path = tmp_path / "in.pfm"
+    path.write_bytes(data)
+    return str(path)
+
+
+def _no_placement(tmp_path, monkeypatch):
+    monkeypatch.setattr(synth, "CAMERA_WALL_CLEARANCE", 100.0)
+    generate_scene(0)
+
+
+# One minimal trigger per leaf error class, keyed by its code.
+CENSUS = {
+    "shape-mismatch": lambda tmp_path, mp: GridSpec(width=8, height=8),
+    "value-range": lambda tmp_path, mp: write_pfm(np.full((2, 4), 1e39), str(tmp_path / "o.pfm")),
+    "corner-extraction": lambda tmp_path, mp: extract_corners(
+        LayoutMap(LAYOUT.ceil_rows, LAYOUT.floor_rows, np.zeros(GRID.width))),
+    "polygon": lambda tmp_path, mp: ManhattanRoom(np.zeros((3, 2)), 1.0, 1.0),
+    "no-valid-samples": lambda tmp_path, mp: eval_metrics(
+        COARSE, DepthMap(grid=GRID, values=np.zeros(GRID.shape))),
+    "placement": _no_placement,
+    "pfm-magic": lambda tmp_path, mp: read_pfm(_pfm(tmp_path, b"PF\n2 1\n-1.0\n")),
+    "pfm-header": lambda tmp_path, mp: read_pfm(_pfm(tmp_path, b"Pf\nx 1\n-1.0\n")),
+    "pfm-truncated": lambda tmp_path, mp: read_pfm(_pfm(tmp_path, b"Pf\n2 1\n-1.0\n\0")),
+    "schema": lambda tmp_path, mp: layout_from_dict({}),
+}
+
+
+def test_census_covers_every_leaf_code():
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, PanoroomError)]
+    leaves = {c.code for c in classes if not any(o is not c and issubclass(o, c) for o in classes)}
+    assert set(CENSUS) == leaves
+
+
+@pytest.mark.parametrize("code", sorted(CENSUS))
+def test_census_trigger_raises_its_code(code, tmp_path, monkeypatch):
+    with pytest.raises(PanoroomError) as info:
+        CENSUS[code](tmp_path, monkeypatch)
+    assert info.value.code == code

@@ -7,7 +7,6 @@ from panoroom import (
     GridSpec,
     NoiseSpec,
     SegMap,
-    background_mask,
     corrupt_depth,
     denoise_depth,
     derive_seg_labels,
@@ -206,7 +205,7 @@ def test_stage_outputs_are_read_only():
     scene = make_scene(1, boxes=(1, 2))
     gt = raycast_depth(scene, GRID, include_foreground=True)
     bg = raycast_depth(scene, GRID, include_foreground=False)
-    seg = background_mask(gt, bg)
+    seg = gt_background_mask(scene, GRID)
     outputs = [
         seg,
         fuse_depth(gt, bg, seg),

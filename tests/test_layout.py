@@ -46,7 +46,7 @@ def test_extract_corners_plateau_prefers_leftmost():
     prob[20:23] = 1.0  # plateau: only column 20 survives
     prob[[60, 90, 110]] = 1.0
     layout = LayoutMap(layout.ceil_rows, layout.floor_rows, prob)
-    cols = list(extract_corners(layout, nms_window=4))
+    cols = list(extract_corners(layout))
     assert 20 in cols and 21 not in cols and 22 not in cols
 
 
@@ -109,7 +109,7 @@ def test_layout_room_round_trip_square():
     )
     grid = GridSpec(width=1024, height=512)
     layout = room_to_layout(room, grid)
-    back = layout_to_room(layout, room.heights, grid, snap=False, nms_window=1)
+    back = layout_to_room(layout, room.heights, grid)
     assert np.max(np.abs(back.vertices - room.vertices)) < 1e-6
 
 
@@ -118,7 +118,7 @@ def test_layout_room_round_trip_synthetic_scenes():
     for seed in range(5):
         scene = make_scene(seed, plan="lshape" if seed % 2 else "rect")
         layout = room_to_layout(scene.room, grid)
-        back = layout_to_room(layout, scene.room.heights, grid, snap=False, nms_window=1)
+        back = layout_to_room(layout, scene.room.heights, grid)
         assert back.vertices.shape == scene.room.vertices.shape
         # recovered vertices are in azimuth order; match by nearest
         for v in scene.room.vertices:

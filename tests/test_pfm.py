@@ -7,7 +7,13 @@ import pytest
 
 from panoroom import formats
 from panoroom.equirect import GridSpec
-from panoroom.errors import PfmHeaderError, PfmMagicError, PfmTruncatedError, SchemaError
+from panoroom.errors import (
+    PfmHeaderError,
+    PfmMagicError,
+    PfmTruncatedError,
+    SchemaError,
+    ValueRangeError,
+)
 from panoroom.formats import (
     read_pfm,
     scene_from_dict,
@@ -204,3 +210,18 @@ def test_write_pfm_rejects_non_2d(tmp_path, shape):
     with pytest.raises(ValueError, match="2D"):
         write_pfm(np.zeros(shape), str(tmp_path / "m.pfm"))
     assert not (tmp_path / "m.pfm").exists()
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39])
+def test_write_pfm_rejects_finite_values_beyond_float32(tmp_path, value):
+    values = np.ones((2, 4))
+    values[1, 2] = value
+    with pytest.raises(ValueRangeError, match="float32"):
+        write_pfm(values, str(tmp_path / "m.pfm"))
+    assert os.listdir(tmp_path) == []
+
+
+def test_write_pfm_keeps_non_finite_values(tmp_path):
+    values = np.array([[np.inf, -np.inf, np.nan, 1.0]])
+    write_pfm(values, str(tmp_path / "m.pfm"))
+    assert (tmp_path / "m.pfm").read_bytes() == _parent_pfm_bytes(values)

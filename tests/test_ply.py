@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panoroom import formats
-from panoroom.equirect import GridSpec, pixel_center_dirs
+from panoroom.equirect import GridSpec
+
+from conftest import pixel_center_dirs
 
 CHUNK = formats.PLY_CHUNK_POINTS
 

@@ -21,9 +21,8 @@ from panoroom import (
     raycast_depth,
     render_scene,
 )
-from panoroom.equirect import pixel_center_dirs
 
-from conftest import mixed_scenes
+from conftest import mixed_scenes, pixel_center_dirs
 
 TOL = 1e-12  # m
 

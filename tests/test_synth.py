@@ -7,7 +7,6 @@ from panoroom import (
     GridSpec,
     NoiseSpec,
     SceneConfig,
-    background_mask,
     corrupt_depth,
     generate_scene,
     gt_background_mask,
@@ -15,12 +14,12 @@ from panoroom import (
     render_scene,
 )
 from panoroom import synth
-from panoroom.errors import PanoroomError, PlacementError, ShapeMismatchError, ValueRangeError
+from panoroom.errors import PanoroomError, PlacementError, ValueRangeError
 from panoroom.layout import ManhattanRoom
 from panoroom.synth import SceneSpec
 from panoroom.formats import scene_to_dict
 
-from conftest import make_scene, point_in_polygon_loop
+from conftest import background_mask, make_scene, point_in_polygon_loop
 
 GRID = GridSpec(width=128, height=64)
 
@@ -145,8 +144,6 @@ def test_mask_from_held_renders():
     gt = raycast_depth(scene, GRID, include_foreground=True)
     bg = raycast_depth(scene, GRID, include_foreground=False)
     assert np.array_equal(background_mask(gt, bg).values, gt_background_mask(scene, GRID).values)
-    with pytest.raises(ShapeMismatchError):
-        background_mask(gt, raycast_depth(scene, GridSpec(width=64, height=32)))
 
 
 def test_mask_infinite_eps():
@@ -273,17 +270,11 @@ def test_non_finite_shell_is_value_range(monkeypatch, bad):
             render(scene, GRID)
 
 
-def _held_mask(scene, grid, eps):
-    gt = raycast_depth(scene, grid, include_foreground=True)
-    bg = raycast_depth(scene, grid, include_foreground=False)
-    return background_mask(gt, bg, eps)
-
-
 @pytest.mark.parametrize("eps", [-1e-6, -np.inf, np.nan], ids=["negative", "-inf", "nan"])
 @pytest.mark.parametrize(
     "make_mask",
-    [render_scene, _held_mask, gt_background_mask],
-    ids=["render_scene", "background_mask", "gt_background_mask"],
+    [render_scene, gt_background_mask],
+    ids=["render_scene", "gt_background_mask"],
 )
 def test_mask_rejects_negative_or_nan_eps(make_mask, eps):
     with pytest.raises(ValueRangeError, match="eps"):
