@@ -100,6 +100,10 @@ def write_pfm(values: np.ndarray, path: str) -> None:
     _atomic_write(path, (header, payload))
 
 
+# far above any legitimate magic, dimension or scale token
+_MAX_TOKEN = 64
+
+
 def _read_token(f) -> bytes:
     tok = b""
     while True:
@@ -110,6 +114,8 @@ def _read_token(f) -> bytes:
             if tok:
                 return tok
             continue
+        if len(tok) == _MAX_TOKEN:
+            raise PfmHeaderError(f"PFM header token longer than {_MAX_TOKEN} bytes")
         tok += c
 
 
@@ -125,7 +131,7 @@ def read_pfm(path: str) -> np.ndarray:
             scale = float(_read_token(f))
         except ValueError as e:
             raise PfmHeaderError(f"malformed PFM header: {e}") from e
-        if w <= 0 or h <= 0 or scale == 0:
+        if w <= 0 or h <= 0 or scale == 0 or not np.isfinite(scale):
             raise PfmHeaderError(f"invalid PFM dimensions/scale: {w} {h} {scale}")
         dtype = "<f4" if scale < 0 else ">f4"
         size = w * h * 4

@@ -155,115 +155,59 @@ def extract_corners(layout: LayoutMap) -> np.ndarray:
     columns.
     """
     p = layout.corner_prob
-    w = len(p)
-    keep = []
-    for v in np.nonzero(p >= _CORNER_THRESHOLD)[0]:
-        ok = True
-        for o in range(-_CORNER_NMS_WINDOW, _CORNER_NMS_WINDOW + 1):
-            if o == 0:
-                continue
-            u = (v + o) % w
-            if p[u] > p[v] or (p[u] == p[v] and u < v):
-                ok = False
-                break
-        if ok:
-            keep.append(int(v))
-    if len(keep) < 4:
+    cols = np.arange(len(p))
+    window = np.arange(-_CORNER_NMS_WINDOW, _CORNER_NMS_WINDOW + 1)
+    u = (cols + window[window != 0, None]) % len(p)  # each column's neighbours
+    beaten = (p[u] > p) | ((p[u] == p) & (u < cols))
+    found = np.nonzero((p >= _CORNER_THRESHOLD) & ~beaten.any(axis=0))[0]
+    if len(found) < 4:
         raise CornerExtractionError(
-            f"found {len(keep)} corner columns, need >= 4 to close the room"
+            f"found {len(found)} corner columns, need >= 4 to close the room"
         )
-    return np.array(sorted(keep), dtype=np.int64)
-
-
-def _fit_line(points: np.ndarray):
-    """Total-least-squares line through >= 2 points: (centroid, unit dir)."""
-    c = points.mean(axis=0)
-    _, _, vt = np.linalg.svd(points - c, full_matrices=False)
-    return c, vt[0]
-
-
-def _intersect_lines(l1, l2):
-    (c1, d1), (c2, d2) = l1, l2
-    a = np.array([[d1[0], -d2[0]], [d1[1], -d2[1]]])
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    if abs(det) < 1e-9:
-        return None
-    t = np.linalg.solve(a, c2 - c1)[0]
-    return c1 + t * d1
-
-
-def snap_manhattan(vertices: np.ndarray) -> np.ndarray:
-    """Force alternating axis-aligned edges by averaging shared coordinates."""
-    v = np.asarray(vertices, dtype=np.float64)
-    n = len(v)
-    if n % 2 != 0:
-        raise PolygonError("Manhattan snapping needs an even vertex count")
-    deltas = np.roll(v, -1, axis=0) - v
-    horizontal = np.abs(deltas[:, 0]) >= np.abs(deltas[:, 1])  # edge runs along x
-    for k in range(n):
-        if horizontal[k] == horizontal[(k + 1) % n]:
-            raise PolygonError("edges do not alternate axis alignment; cannot snap")
-    out = np.empty_like(v)
-    for k in range(n):
-        a, b = v[k], v[(k + 1) % n]
-        if horizontal[k]:
-            ym = 0.5 * (a[1] + b[1])
-            out[k, 1] = ym
-            out[(k + 1) % n, 1] = ym
-        else:
-            xm = 0.5 * (a[0] + b[0])
-            out[k, 0] = xm
-            out[(k + 1) % n, 0] = xm
-    return out
+    return found.astype(np.int64)
 
 
 def layout_to_room(layout: LayoutMap, heights: CameraHeights, grid: GridSpec) -> ManhattanRoom:
     """Invert a layout into a floor-plan polygon anchored by the floor boundary.
 
-    Each wall between consecutive corner columns contributes the boundary
-    points of its interior columns (floor boundary lifted to the horizontal
-    plane through ``heights.down``); a vertex is recovered as the
-    intersection of the two adjacent wall lines, which is exact whenever the
-    layout itself is. Walls too narrow to fit a line fall back to the corner
-    column's own boundary sample. The vertices are then snapped to
-    alternating axis-aligned edges.
+    Wall k runs from corner column k to corner column k + 1, and every wall
+    of a Manhattan room is ``x = c`` or ``y = c``. Each wall's ``c`` is the
+    mean, over its interior columns, of their floor-boundary points (lifted
+    to the horizontal plane through ``heights.down``) on that axis. The
+    longest wall decides which axis it holds constant; the other walls
+    alternate. Vertex k joins walls k - 1 and k, so the polygon is closed
+    and axis-aligned by construction. ``PolygonError`` is raised when the
+    corner count is odd or the room's vertices do not fall in the corner
+    columns they were recovered from.
     """
     layout.validate_against(grid)
     corner_cols = extract_corners(layout)
     n = len(corner_cols)
+    if n % 2:
+        raise PolygonError(f"found {n} corner columns; a Manhattan room has an even number")
 
-    w = grid.width
     r = floor_wall_range(layout, heights, grid)
-    az = pixel_center_lons(grid)
-    px = r * np.cos(az)
-    py = r * np.sin(az)
-
-    lines = []
-    for k in range(n):
-        c0 = int(corner_cols[k])
-        c1 = int(corner_cols[(k + 1) % n])
-        span = (c1 - c0) % w
-        interior = (c0 + 1 + np.arange(span - 1)) % w if span >= 2 else np.array([], dtype=int)
-        if len(interior) >= 2:
-            pts = np.stack([px[interior], py[interior]], axis=1)
-            lines.append(_fit_line(pts))
-        else:
-            lines.append(None)
+    lon = pixel_center_lons(grid)
+    pts = np.stack([r * np.cos(lon), r * np.sin(lon)])
+    # corner columns lie more than _CORNER_NMS_WINDOW apart, so no wall is empty
+    walls = [
+        (c0 + np.arange(1, (c1 - c0) % grid.width)) % grid.width
+        for c0, c1 in zip(corner_cols, np.roll(corner_cols, -1))
+    ]
+    longest = max(range(n), key=lambda k: len(walls[k]))
+    seen = pts[:, walls[longest]]
+    held = int(np.ptp(seen[0]) > np.ptp(seen[1]))  # 0: x = c, 1: y = c
+    axes = (held + np.arange(n) - longest) % 2
+    coord = np.array([pts[a, cols].mean() for a, cols in zip(axes, walls)])
 
     verts = np.empty((n, 2), dtype=np.float64)
-    for k in range(n):
-        prev_line = lines[k - 1]
-        next_line = lines[k]
-        vertex = None
-        if prev_line is not None and next_line is not None:
-            vertex = _intersect_lines(prev_line, next_line)
-        if vertex is None:
-            c = int(corner_cols[k])
-            vertex = np.array([px[c], py[c]])
-        verts[k] = vertex
-
-    verts = snap_manhattan(verts)
-    return ManhattanRoom(verts, cam_to_floor=heights.down, cam_to_ceil=heights.up)
+    k = np.arange(n)
+    verts[k, axes] = coord
+    verts[k, 1 - axes] = np.roll(coord, 1)
+    room = ManhattanRoom(verts, cam_to_floor=heights.down, cam_to_ceil=heights.up)
+    if not np.array_equal(corner_azimuth_columns(room, grid), corner_cols):
+        raise PolygonError("recovered room's corners do not fall in the layout's corner columns")
+    return room
 
 
 def floor_wall_range(layout: LayoutMap, heights: CameraHeights, grid: GridSpec) -> np.ndarray:

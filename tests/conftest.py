@@ -21,6 +21,27 @@ def point_in_polygon_loop(edges, px, py):
     return inside
 
 
+def extract_corners_loop(prob, threshold, window):
+    """Peak picking candidate by candidate in plain Python: the reference
+    for ``extract_corners``' vectorised pass. A column survives when it
+    reaches the threshold and no column within +-window (circularly) holds
+    a larger probability, or an equal one at a smaller index."""
+    w = len(prob)
+    keep = []
+    for v in np.nonzero(prob >= threshold)[0]:
+        ok = True
+        for o in range(-window, window + 1):
+            if o == 0:
+                continue
+            u = (v + o) % w
+            if prob[u] > prob[v] or (prob[u] == prob[v] and u < v):
+                ok = False
+                break
+        if ok:
+            keep.append(int(v))
+    return keep
+
+
 def pixel_center_dirs(grid):
     """(H, W, 3) unit ray directions at all pixel centers: the reference for
     the package's per-row and per-column direction factors."""

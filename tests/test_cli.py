@@ -134,6 +134,11 @@ def assert_one_error_line(capsys, rc, code):
     assert lines[0].startswith(f"error: {code}: "), lines
 
 
+def write_bytes(path, payload):
+    path.write_bytes(payload)
+    return str(path)
+
+
 def write_flat_pfm(path, height=4):
     write_pfm(np.ones((height, 2 * height), dtype=np.float32), str(path))
     return str(path)
@@ -226,10 +231,11 @@ def test_bg_beyond_float32_is_value_range(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["coarse.pfm", "layout.json"]
 
 
-def denoise_with_slack(tmp_path, slack, cam_to_floor=1.5, x_max=1):
+def denoise_with_slack(tmp_path, slack, cam_to_floor=1.5, x_max=1, clockwise=False):
+    vertices = [[-1, -1], [x_max, -1], [x_max, 1], [-1, 1]]
     room = tmp_path / "room.json"
     room.write_text(json.dumps(
-        {"vertices": [[-1, -1], [x_max, -1], [x_max, 1], [-1, 1]],
+        {"vertices": vertices[::-1] if clockwise else vertices,
          "cam_to_floor": cam_to_floor, "cam_to_ceil": 1.0}
     ))
     depth = write_flat_pfm(tmp_path / "d.pfm")
@@ -260,11 +266,20 @@ def denoise_with_slack(tmp_path, slack, cam_to_floor=1.5, x_max=1):
                     "--gamma", "nan", "--out", p / "o.pfm"], "value-range"),
         (lambda p: ["synth", "--seed", 0, "--count", 1, "--out-dir", p / "s",
                     "--boxes", 3, 1], "value-range"),
+        (lambda p: ["pointcloud", "--depth", write_bytes(p / "d.pfm", b"P5\n8 4\n255\n"),
+                    "--out", p / "o.ply"], "pfm-magic"),
+        (lambda p: ["pointcloud", "--depth", write_bytes(p / "d.pfm", b"Pf\n8 4\nnan\n"
+                                                         + b"\x00\x00\x80\x3f" * 32),
+                    "--out", p / "o.ply"], "pfm-header"),
+        (lambda p: ["eval", "--pred", write_flat_pfm(p / "p.pfm"),
+                    "--gt", write_bytes(p / "g.pfm", b"Pf\n8 4\n-1.0\n" + bytes(128)),
+                    "--json", p / "m.json"], "no-valid-samples"),
+        (lambda p: denoise_with_slack(p, 1.0, clockwise=True), "polygon"),
     ],
     ids=["pfm-nan", "pfm-negative", "layout-8x8", "corner-prob-2", "ceil-rows",
          "slack-negative", "slack-nan", "room-height-overflow", "room-vertex-overflow",
          "seg-above-1", "gamma-negative", "gamma-nan",
-         "boxes-reversed"],
+         "boxes-reversed", "pfm-magic", "pfm-nan-scale", "gt-all-zero", "room-clockwise"],
 )
 def test_value_errors_get_their_code(tmp_path, capsys, argv, code):
     rc = run(argv(tmp_path))

@@ -12,11 +12,11 @@ from panoroom import (
     layout_to_room,
     room_to_layout,
 )
-from panoroom.errors import CornerExtractionError, PolygonError
+from panoroom import layout as layout_mod
+from panoroom.errors import CornerExtractionError, PanoroomError, PolygonError
 from panoroom._kernels import _points_in_polygon
-from panoroom.layout import snap_manhattan
 
-from conftest import make_scene, point_in_polygon_loop
+from conftest import extract_corners_loop, make_scene, point_in_polygon_loop
 
 
 def flat_layout(w=128, h=64, ceil=16.0, floor=48.0):
@@ -135,12 +135,68 @@ def test_layout_to_room_needs_four_corner_peaks():
         layout_to_room(layout, CameraHeights(up=1.0, down=1.5), GridSpec(width=128, height=64))
 
 
-def test_snap_produces_axis_aligned_edges():
-    v = np.array([(-1.0, -1.01), (1.02, -1.0), (1.0, 1.01), (-1.01, 1.0)])
-    snapped = snap_manhattan(v)
-    d = np.roll(snapped, -1, axis=0) - snapped
-    for dx, dy in d:
-        assert dx == 0 or dy == 0
+def test_extract_corners_matches_the_loop():
+    """The vectorised peak picking against the per-candidate loop, on random
+    vectors of a few levels (so ties are common), with plateaus placed
+    anywhere and across the seam."""
+    rng = np.random.default_rng(3)
+    raised = 0
+    for trial in range(400):
+        w = int(rng.choice([20, 33, 64, 128]))
+        prob = rng.choice([0.0, 0.3, 0.5, 0.7, 1.0], size=w)
+        k = int(rng.integers(1, 7))
+        level = rng.choice([0.5, 0.7, 1.0])
+        if trial % 3 == 0:
+            prob[:k] = prob[w - k:] = level
+        elif trial % 3 == 1:
+            start = int(rng.integers(w))
+            prob[(start + np.arange(2 * k)) % w] = level
+        expected = extract_corners_loop(prob, layout_mod._CORNER_THRESHOLD,
+                                        layout_mod._CORNER_NMS_WINDOW)
+        lay = LayoutMap(np.full(w, 16.0), np.full(w, 48.0), prob)
+        if len(expected) < 4:
+            raised += 1
+            with pytest.raises(CornerExtractionError):
+                extract_corners(lay)
+        else:
+            assert extract_corners(lay).tolist() == expected
+    assert 0 < raised < 400
+
+
+def test_layout_to_room_rejects_an_odd_corner_count():
+    layout = flat_layout()
+    prob = layout.corner_prob.copy()
+    prob[[10, 35, 60, 85, 110]] = 1.0
+    layout = LayoutMap(layout.ceil_rows, layout.floor_rows, prob)
+    with pytest.raises(PolygonError):
+        layout_to_room(layout, CameraHeights(up=1.0, down=1.5), GridSpec(width=128, height=64))
+
+
+def test_layout_to_room_rejects_corners_off_their_columns():
+    grid = GridSpec(width=256, height=128)
+    room = make_scene(2, plan="rect").room
+    exact = room_to_layout(room, grid)
+    shifted = LayoutMap(exact.ceil_rows, exact.floor_rows, np.roll(exact.corner_prob, 8))
+    with pytest.raises(PolygonError):
+        layout_to_room(shifted, room.heights, grid)
+
+
+@pytest.mark.parametrize("height", [33, 64])
+def test_layout_to_room_is_exact_or_raises(height):
+    """On grids too coarse to separate every corner, inverting the exact
+    layout of a generated room gives back that room to 1e-6 m or raises a
+    coded error: a wrong room never comes back."""
+    grid = GridSpec(width=2 * height, height=height)
+    for seed in range(1000, 1200):
+        for plan in ("rect", "lshape"):
+            room = make_scene(seed, plan=plan).room
+            try:
+                back = layout_to_room(room_to_layout(room, grid), room.heights, grid)
+            except PanoroomError:
+                continue
+            assert back.vertices.shape == room.vertices.shape, (seed, plan)
+            d = np.linalg.norm(back.vertices[:, None] - room.vertices[None], axis=2)
+            assert max(d.min(axis=0).max(), d.min(axis=1).max()) <= 1e-6, (seed, plan)
 
 
 def test_nonsimple_polygon_rejected():

@@ -86,6 +86,39 @@ def test_malformed_header(tmp_path):
         read_pfm(str(path))
 
 
+@pytest.mark.parametrize("scale", [b"nan", b"-nan", b"NaN", b"inf", b"-inf", b"1e999"])
+def test_non_finite_scale_is_header_error(tmp_path, scale):
+    # a nan scale is not negative, so it would pick big-endian and read
+    # little-endian data as denormals that pass every depth check
+    path = tmp_path / "s.pfm"
+    path.write_bytes(b"Pf\n1 1\n" + scale + b"\n" + struct.pack("<f", 1.0))
+    with pytest.raises(PfmHeaderError):
+        read_pfm(str(path))
+
+
+def test_longest_header_tokens_parse(tmp_path):
+    width, height, scale = b"0" * 63 + b"2", b"0" * 63 + b"1", b"-1." + b"0" * 61
+    path = tmp_path / "long.pfm"
+    path.write_bytes(b"Pf\n" + width + b" " + height + b"\n" + scale + b"\n"
+                     + struct.pack("<2f", 1.0, 2.0))
+    assert np.array_equal(read_pfm(str(path)), np.array([[1.0, 2.0]], dtype=np.float32))
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b"P" * 65 + b"\n1 1\n-1.0", b"Pf\n" + b"0" * 64 + b"1 1\n-1.0",
+     b"Pf\n1 " + b"0" * 64 + b"1\n-1.0", b"Pf\n1 1\n-1." + b"0" * 62,
+     b"P" * 80_000 + b"\n1 1\n-1.0"],
+    ids=["magic", "width", "height", "scale", "80kB"],
+)
+def test_over_long_header_token_is_header_error(tmp_path, header):
+    # each header would read as a 1 x 1 map but for one 65-byte token
+    path = tmp_path / "long.pfm"
+    path.write_bytes(header + b"\n" + struct.pack("<f", 1.0))
+    with pytest.raises(PfmHeaderError):
+        read_pfm(str(path))
+
+
 def test_bottom_to_top_row_order(tmp_path):
     values = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
     path = tmp_path / "rows.pfm"
