@@ -1,12 +1,13 @@
-"""Hot numeric kernels: panorama ray casting, boundary ranging, shell distance.
+"""Hot numeric kernels: panorama ray casting, plane depth, shell distance.
 
 All kernels are vectorised numpy and exploit the Manhattan structure of the
 scene instead of testing every pixel against every surface:
 
 * the room shell is closed-form per column -- the nearest wall edge of a
   column's horizontal ray is found once (the same first crossing that
-  ``boundary_range`` computes), and each pixel takes the smaller of that
-  wall's distance and the floor/ceiling plane distance. For a simple
+  ``room_to_layout`` takes its wall ranges from), and each pixel takes the
+  smaller of that wall's distance and the floor/ceiling plane distance
+  (``plane_depth``, which the background depth shares). For a simple
   polygon containing the origin this equals the full surface test: a
   floor/ceiling point lies inside the room exactly when it comes before
   the ray's first wall crossing;
@@ -69,11 +70,6 @@ def _first_crossing(edges, dx, dy):
     return best, edge
 
 
-def boundary_range(edges, azimuths):
-    """Horizontal distance to the first wall along each azimuth."""
-    return _first_crossing(edges, np.cos(azimuths), np.sin(azimuths))[0]
-
-
 def _column_slices(lo_lon, hi_lon, grid):
     """Columns whose centre longitude may lie in [lo_lon, hi_lon], with one
     column of margin on each side, as one or two slices (split at the seam)."""
@@ -128,35 +124,36 @@ def _slab_into(best, box, dx, dy, dz):
 
 
 class ShellParts(NamedTuple):
-    """What the room shell's depth at a pixel is built from, per row and per
-    column. ``cl`` and ``dz`` are cos and sin of the pixel-centre latitudes
-    and ``t_plane`` the floor/ceiling plane distance, each (H, 1);
-    ``cos_lon`` and ``sin_lon`` are the (W,) column directions. Each column's
-    nearest wall is the edge its horizontal ray crosses first, at horizontal
-    distance ``wall`` (inf for a column that crosses no edge), with direction
-    (``ex``, ``ey``) and numerator ``num`` = ex*ay - ey*ax."""
+    """What the room shell's depth at a pixel is built from, besides the
+    pixel-centre trig: ``t_plane``, the (H, 1) floor/ceiling plane distance
+    per row, and per column the nearest wall, the edge its horizontal ray
+    crosses first, at horizontal distance ``wall`` (inf for a column that
+    crosses no edge), with direction (``ex``, ``ey``) and numerator ``num``
+    = ex*ay - ey*ax."""
 
-    cl: np.ndarray
-    dz: np.ndarray
     t_plane: np.ndarray
-    cos_lon: np.ndarray
-    sin_lon: np.ndarray
     wall: np.ndarray
     ex: np.ndarray
     ey: np.ndarray
     num: np.ndarray
 
 
+def plane_depth(sin_lat, down, up):
+    """Radial distance along rays whose latitude has sine ``sin_lat`` to the
+    floor ``down`` below the camera (``sin_lat`` < 0) or the ceiling ``up``
+    above it (> 0); inf on the horizon."""
+    with np.errstate(divide="ignore"):
+        return np.where(sin_lat < 0.0, down, up) / np.abs(sin_lat)
+
+
 def shell_parts(edges, cam_down, cam_up, grid) -> ShellParts:
     """The per-row and per-column factors of the room shell's depth."""
-    cl, dz, cos_lon, sin_lon = pixel_center_trig(grid)
+    _, dz, cos_lon, sin_lon = pixel_center_trig(grid)
     wall, k = _first_crossing(edges, cos_lon, sin_lon)
     ax, ay, bx, by = edges[np.maximum(k, 0)].T
     ex = bx - ax
     ey = by - ay
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_plane = np.where(dz < 0.0, -cam_down / dz, np.where(dz > 0.0, cam_up / dz, np.inf))
-    return ShellParts(cl, dz, t_plane, cos_lon, sin_lon, wall, ex, ey, ex * ay - ey * ax)
+    return ShellParts(plane_depth(dz, cam_down, cam_up), wall, ex, ey, ex * ay - ey * ax)
 
 
 def raycast(edges, cam_down, cam_up, boxes, grid):
@@ -173,9 +170,10 @@ def raycast(edges, cam_down, cam_up, boxes, grid):
     as a per-pixel direction so every depth keeps its exact bits.
     """
     parts = shell_parts(edges, cam_down, cam_up, grid)
-    det = np.multiply(parts.cl, parts.sin_lon)
+    cl, dz, cos_lon, sin_lon = pixel_center_trig(grid)
+    det = np.multiply(cl, sin_lon)
     det *= parts.ex
-    ey_dx = np.multiply(parts.cl, parts.cos_lon)
+    ey_dx = np.multiply(cl, cos_lon)
     ey_dx *= parts.ey
     det -= ey_dx
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -190,8 +188,8 @@ def raycast(edges, cam_down, cam_up, boxes, grid):
         for box in boxes:
             rows, col_slices = _box_footprint(box, grid)
             for cols in col_slices:
-                c = parts.cl[rows]
-                dirs = (c * parts.cos_lon[cols], c * parts.sin_lon[cols], parts.dz[rows])
+                c = cl[rows]
+                dirs = (c * cos_lon[cols], c * sin_lon[cols], dz[rows])
                 _slab_into(depth[rows, cols], box, *dirs)
                 footprints.append((rows, cols))
     return shell, depth, footprints

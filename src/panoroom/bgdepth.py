@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equirect import GridSpec, pixel_center_lats, row_to_lat
+from . import _kernels
+from .equirect import GridSpec, pixel_center_lats, pixel_center_trig, row_to_lat
 from .errors import NoValidSamplesError, ShapeMismatchError, ValueRangeError
 from .layout import CameraHeights, LayoutMap, floor_wall_range
 
@@ -106,9 +107,8 @@ def require_same_grid(*maps) -> GridSpec:
 def cap_depth(lat_mag, height: float, mode: str = "exact"):
     """Radial depth of a horizontal plane (floor or ceiling) ``height`` from
     the camera, at ``lat_mag`` = |lat| towards it from the horizon."""
-    if mode == "exact":
-        return height / np.sin(lat_mag)
-    return height / np.asarray(lat_mag, dtype=np.float64)
+    sin_lat = np.sin(lat_mag) if mode == "exact" else lat_mag
+    return _kernels.plane_depth(sin_lat, height, height)
 
 
 def wall_depth(lat, wall_range, mode: str = "exact"):
@@ -118,11 +118,14 @@ def wall_depth(lat, wall_range, mode: str = "exact"):
     return wall_range * np.cos(lat)
 
 
-def _cap_masks(layout: LayoutMap, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(ceiling, floor) pixel masks: centers strictly above the ceiling
-    boundary, and strictly below the floor boundary."""
-    rows = (np.arange(grid.height, dtype=np.float64) + 0.5)[:, None]
-    return rows < layout.ceil_rows[None, :], rows > layout.floor_rows[None, :]
+def _cap_masks(
+    layout: LayoutMap, grid: GridSpec, ceiling_band=slice(None), floor_band=slice(None)
+) -> tuple[np.ndarray, np.ndarray]:
+    """(ceiling, floor) pixel masks over the row slices ``ceiling_band`` and
+    ``floor_band``: centers strictly above the ceiling boundary, and
+    strictly below the floor boundary."""
+    centers = (np.arange(grid.height, dtype=np.float64) + 0.5)[:, None]
+    return centers[ceiling_band] < layout.ceil_rows, centers[floor_band] > layout.floor_rows
 
 
 def classify_regions(layout: LayoutMap, grid: GridSpec) -> np.ndarray:
@@ -225,7 +228,12 @@ def resolve_background_depth(
     if mode not in RESOLVE_MODES:
         raise ValueRangeError(f"mode must be one of {RESOLVE_MODES}, got {mode!r}")
     layout.validate_against(grid)
-    lat = pixel_center_lats(grid)[:, None]
+    cos_lat, sin_lat, _, _ = pixel_center_trig(grid)
+    exact = mode == "exact"
+    # One (H, 1) column holds both caps: the ceiling's depth above the
+    # horizon, the floor's below it. The small-angle form takes lat for sin(lat).
+    cap_sine = sin_lat if exact else pixel_center_lats(grid)[:, None]
+    caps = _kernels.plane_depth(cap_sine, heights.down, heights.up)
     centers = np.arange(grid.height, dtype=np.float64) + 0.5
 
     # Validated boundaries keep the ceiling in the top half and the floor in
@@ -235,14 +243,13 @@ def resolve_background_depth(
     c, d = np.searchsorted(centers, (layout.floor_rows.min(), layout.floor_rows.max()), "right")
     wall_range = floor_wall_range(layout, heights, grid)
     out = np.empty(grid.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d_ceil = cap_depth(lat, heights.up, mode)
-        d_floor = cap_depth(-lat, heights.down, mode)
-        out[:a] = d_ceil[:a]
-        out[a:d] = wall_depth(lat[a:d], wall_range[None, :], mode)
-        out[d:] = d_floor[d:]
-    np.copyto(out[a:b], d_ceil[a:b], where=centers[a:b, None] < layout.ceil_rows)
-    np.copyto(out[c:d], d_floor[c:d], where=centers[c:d, None] > layout.floor_rows)
+    out[:a] = caps[:a]
+    # the wall depth is r / cos(lat), or r * cos(lat) in the small-angle form
+    (np.divide if exact else np.multiply)(wall_range, cos_lat[a:d], out=out[a:d])
+    out[d:] = caps[d:]
+    ceiling, floor = _cap_masks(layout, grid, slice(a, b), slice(c, d))
+    np.copyto(out[a:b], caps[a:b], where=ceiling)
+    np.copyto(out[c:d], caps[c:d], where=floor)
     # validated boundaries keep every formula positive where it applies;
     # a boundary next to the horizon can still overflow the wall range
     if not np.isfinite(out).all():

@@ -23,16 +23,11 @@ from .fusion import SegMap
 from .layout import room_to_layout
 
 
-def _grid_for(values: np.ndarray) -> GridSpec:
-    h, w = values.shape
-    return GridSpec(width=w, height=h)
-
-
 def _load(cls, path: str):
     """A ``DepthMap`` or ``SegMap`` from a PFM, with every check of public
     construction but not its copy: the widened array is already fresh."""
     values = formats.read_pfm(path).astype(np.float64)
-    grid = _grid_for(values)
+    grid = GridSpec(width=values.shape[1], height=values.shape[0])
     cls._check(values)
     return cls._own(grid, values)
 
@@ -108,7 +103,7 @@ def _cmd_eval(args) -> int:
     gt = _load_depth(args.gt)
     mask = _load_seg(args.mask) if args.mask else None
     report = metrics.eval_metrics(pred, gt, mask)
-    formats._atomic_write_bytes(args.json, (report.to_json() + "\n").encode("ascii"))
+    formats._atomic_write(args.json, ((report.to_json() + "\n").encode("ascii"),))
     return 0
 
 

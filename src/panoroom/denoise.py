@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _kernels
 from .bgdepth import DepthMap, _row_bands, require_same_grid
-from .equirect import GridSpec
+from .equirect import GridSpec, pixel_center_trig
 from .errors import ShapeMismatchError, ValueRangeError
 from .layout import ManhattanRoom
 
@@ -87,11 +87,12 @@ def denoise_depth(
 
     d = gt.values
     parts = _kernels.shell_parts(room.edges, room.cam_to_floor, room.cam_to_ceil, grid)
+    cos_lat, sin_lat, cos_lon, sin_lon = pixel_center_trig(grid)
     bands = []
     for rows in _row_bands(grid):
         e = d[rows] - (slack - _MARGIN)
         keep = e <= parts.t_plane[rows]
-        e *= parts.cl[rows]
+        e *= cos_lat[rows]
         keep &= e <= parts.wall
         # written as "not kept" so that a NaN depth makes a candidate
         (band,) = np.nonzero(~keep.ravel())
@@ -100,12 +101,12 @@ def denoise_depth(
     rows, cols = np.divmod(flat, grid.width)
     depth = np.take(d, flat)
     # the bits of the tests' pixel_center_dirs(grid)[rows, cols] * depth
-    cl = parts.cl[rows, 0]
-    x = np.multiply(cl, parts.cos_lon[cols])
+    cl = cos_lat[rows, 0]
+    x = np.multiply(cl, cos_lon[cols])
     x *= depth
-    y = np.multiply(cl, parts.sin_lon[cols])
+    y = np.multiply(cl, sin_lon[cols])
     y *= depth
-    z = np.multiply(parts.dz[rows, 0], depth)
+    z = np.multiply(sin_lat[rows, 0], depth)
     far = _box_gap_sq(room, x, y, z) > (slack + _MARGIN) ** 2
     near = ~far
     points = np.stack([x[near], y[near], z[near]], axis=1)

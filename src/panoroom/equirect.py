@@ -16,6 +16,7 @@ formulas are :func:`row_to_lat`, :func:`lat_to_row`, :func:`col_to_lon` and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +24,15 @@ import numpy as np
 from .errors import ShapeMismatchError, ValueRangeError
 
 
+# The tallest grid: 8192 x 4096, whose float64 map takes 256 MiB. Larger
+# grids are refused before any map of them is allocated.
+_MAX_HEIGHT = 4096
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Equirectangular image dimensions; width must be twice the height."""
+    """Equirectangular image dimensions; width must be twice the height, and
+    the height at most ``_MAX_HEIGHT``."""
 
     width: int
     height: int
@@ -37,6 +44,8 @@ class GridSpec:
             raise ShapeMismatchError(
                 f"equirectangular grid needs width == 2*height, got {self.width}x{self.height}"
             )
+        if self.height > _MAX_HEIGHT:
+            raise ValueRangeError(f"grid height must be at most {_MAX_HEIGHT}, got {self.height}")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -78,10 +87,17 @@ def pixel_center_lons(grid: GridSpec) -> np.ndarray:
     return col_to_lon(np.arange(grid.width, dtype=np.float64) + 0.5, grid)
 
 
+@functools.lru_cache(maxsize=8)
 def pixel_center_trig(grid: GridSpec):
     """cos and sin of the pixel-centre latitudes, each (H, 1), then of the
     longitudes, each (W,). The ray direction at a pixel centre is
-    (cos_lat * cos_lon, cos_lat * sin_lon, sin_lat)."""
+    (cos_lat * cos_lon, cos_lat * sin_lon, sin_lat).
+
+    Each stage of a panorama asks for the same grid's factors, so they are
+    computed once per grid and shared read-only."""
     lat = pixel_center_lats(grid)[:, None]
     lon = pixel_center_lons(grid)
-    return np.cos(lat), np.sin(lat), np.cos(lon), np.sin(lon)
+    trig = (np.cos(lat), np.sin(lat), np.cos(lon), np.sin(lon))
+    for a in trig:
+        a.flags.writeable = False
+    return trig

@@ -18,8 +18,9 @@ class ShapeMismatchError(PanoroomError, ValueError):
 class ValueRangeError(PanoroomError, ValueError):
     """A value lies outside its allowed range: a non-finite or negative
     depth, a probability outside [0, 1], a boundary row outside its half of
-    the image, a non-positive slack, threshold or size, or a finite value
-    beyond the float32 range of a PFM."""
+    the image, a non-positive slack, threshold or size, a grid taller than
+    the supported bound, or a finite value beyond the float32 range of a
+    PFM."""
 
     code = "value-range"
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import re
 import stat
 import tempfile
 from collections.abc import Iterable
@@ -78,10 +79,6 @@ def _atomic_write(path: str, chunks: Iterable) -> None:
         raise
 
 
-def _atomic_write_bytes(path: str, payload: bytes) -> None:
-    _atomic_write(path, (payload,))
-
-
 def write_pfm(values: np.ndarray, path: str) -> None:
     """Write an H x W map as a little-endian grayscale PFM."""
     arr = np.asarray(values)
@@ -102,33 +99,37 @@ def write_pfm(values: np.ndarray, path: str) -> None:
 
 # far above any legitimate magic, dimension or scale token
 _MAX_TOKEN = 64
+# The header is read as one block of this many bytes: the four longest
+# tokens (the magic is two bytes) with their whitespace take 198.
+_MAX_HEADER = 256
+_HEADER_TOKEN = re.compile(rb"[ \t\r\n]*([^ \t\r\n]*)")
 
 
-def _read_token(f) -> bytes:
-    tok = b""
-    while True:
-        c = f.read(1)
-        if not c:
+def _header_field(block: bytes, pos: int, parse):
+    """``parse`` of the PFM header token after offset ``pos`` of ``block``,
+    and the offset past the one whitespace byte that ends the token."""
+    m = _HEADER_TOKEN.match(block, pos)
+    tok = m.group(1)
+    if len(tok) > _MAX_TOKEN:
+        raise PfmHeaderError(f"PFM header token longer than {_MAX_TOKEN} bytes")
+    if m.end() == len(block):
+        if len(block) < _MAX_HEADER:
             raise PfmHeaderError("unexpected end of file in PFM header")
-        if c in b" \t\r\n":
-            if tok:
-                return tok
-            continue
-        if len(tok) == _MAX_TOKEN:
-            raise PfmHeaderError(f"PFM header token longer than {_MAX_TOKEN} bytes")
-        tok += c
+        raise PfmHeaderError(f"PFM header longer than {_MAX_HEADER} bytes")
+    return parse(tok), m.end() + 1
 
 
 def read_pfm(path: str) -> np.ndarray:
     """Read a grayscale PFM into an H x W float32 array (top-to-bottom rows)."""
     with open(path, "rb") as f:
-        magic = _read_token(f)
+        block = f.read(_MAX_HEADER)
+        magic, pos = _header_field(block, 0, bytes)
         if magic != b"Pf":
             raise PfmMagicError(f"not a grayscale PFM (magic {magic!r})")
         try:
-            w = int(_read_token(f))
-            h = int(_read_token(f))
-            scale = float(_read_token(f))
+            w, pos = _header_field(block, pos, int)
+            h, pos = _header_field(block, pos, int)
+            scale, pos = _header_field(block, pos, float)
         except ValueError as e:
             raise PfmHeaderError(f"malformed PFM header: {e}") from e
         if w <= 0 or h <= 0 or scale == 0 or not np.isfinite(scale):
@@ -138,17 +139,19 @@ def read_pfm(path: str) -> np.ndarray:
         # check a regular file's length first, so a huge header on a small
         # file is not answered with an allocation of the declared size
         st = os.fstat(f.fileno())
-        if stat.S_ISREG(st.st_mode) and st.st_size - f.tell() < size:
-            available = st.st_size - f.tell()
+        if stat.S_ISREG(st.st_mode) and st.st_size - pos < size:
+            available = st.st_size - pos
             raise PfmTruncatedError(
                 f"PFM payload truncated: expected {size} bytes, got {available}"
             )
-        payload = f.read(size)
-        if len(payload) != size:
-            raise PfmTruncatedError(
-                f"PFM payload truncated: expected {size} bytes, got {len(payload)}"
-            )
-    data = np.frombuffer(payload, dtype=dtype).reshape(h, w)
+        # the payload's first bytes came with the header block
+        payload = np.empty(size, dtype=np.uint8)
+        head = block[pos : pos + size]
+        payload[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+        got = len(head) + f.readinto(payload[len(head) :])
+        if got != size:
+            raise PfmTruncatedError(f"PFM payload truncated: expected {size} bytes, got {got}")
+    data = payload.view(dtype).reshape(h, w)
     return np.flipud(data).astype(np.float32)
 
 
@@ -156,7 +159,7 @@ def read_pfm(path: str) -> np.ndarray:
 
 
 def write_json(obj, path: str) -> None:
-    _atomic_write_bytes(path, (json.dumps(obj, indent=2) + "\n").encode("ascii"))
+    _atomic_write(path, ((json.dumps(obj, indent=2) + "\n").encode("ascii"),))
 
 
 def layout_to_dict(layout: LayoutMap, grid: GridSpec) -> dict:
@@ -361,16 +364,10 @@ def _unproject_bands(depth_values: np.ndarray, grid: GridSpec):
 
 def write_ply_pointcloud(depth_values: np.ndarray, grid: GridSpec, path: str) -> None:
     """Unproject valid pixels to 3D and write an ASCII PLY point cloud."""
-    lines = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {np.count_nonzero(depth_values > 0)}",
-        "property float x",
-        "property float y",
-        "property float z",
-        "end_header",
-    ]
-    header = ("\n".join(lines) + "\n").encode("ascii")
+    header = (
+        f"ply\nformat ascii 1.0\nelement vertex {np.count_nonzero(depth_values > 0)}\n"
+        "property float x\nproperty float y\nproperty float z\nend_header\n"
+    ).encode("ascii")
     body = (
         _format_points(pts[i : i + PLY_CHUNK_POINTS])
         for pts in _unproject_bands(depth_values, grid)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .equirect import GridSpec, lat_to_row, lon_to_col, pixel_center_lons, row_to_lat
+from .equirect import GridSpec, lat_to_row, lon_to_col, pixel_center_trig, row_to_lat
 from .errors import CornerExtractionError, PolygonError, ShapeMismatchError, ValueRangeError
 
 
@@ -79,13 +79,8 @@ def _segments_intersect(p1, p2, p3, p4):
     def orient(a, b, c):
         return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
-    d1 = orient(p3, p4, p1)
-    d2 = orient(p3, p4, p2)
-    d3 = orient(p1, p2, p3)
-    d4 = orient(p1, p2, p4)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
-        return True
-    return False
+    straddles = (orient(p3, p4, p1) > 0) != (orient(p3, p4, p2) > 0)
+    return bool(straddles and (orient(p1, p2, p3) > 0) != (orient(p1, p2, p4) > 0))
 
 
 def is_simple_polygon(vertices: np.ndarray) -> bool:
@@ -93,9 +88,8 @@ def is_simple_polygon(vertices: np.ndarray) -> bool:
     v = np.asarray(vertices, dtype=np.float64)
     n = len(v)
     for i in range(n):
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
+        # edge j > i is adjacent to edge i when j == i + 1, or i == 0 and j == n - 1
+        for j in range(i + 2, n - (i == 0)):
             if _segments_intersect(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n]):
                 return False
     return True
@@ -187,8 +181,8 @@ def layout_to_room(layout: LayoutMap, heights: CameraHeights, grid: GridSpec) ->
         raise PolygonError(f"found {n} corner columns; a Manhattan room has an even number")
 
     r = floor_wall_range(layout, heights, grid)
-    lon = pixel_center_lons(grid)
-    pts = np.stack([r * np.cos(lon), r * np.sin(lon)])
+    _, _, cos_lon, sin_lon = pixel_center_trig(grid)
+    pts = np.stack([r * cos_lon, r * sin_lon])
     # corner columns lie more than _CORNER_NMS_WINDOW apart, so no wall is empty
     walls = [
         (c0 + np.arange(1, (c1 - c0) % grid.width)) % grid.width
@@ -219,8 +213,8 @@ def floor_wall_range(layout: LayoutMap, heights: CameraHeights, grid: GridSpec) 
 def room_to_layout(room: ManhattanRoom, grid: GridSpec) -> LayoutMap:
     """Render the exact layout of a room: boundary rows per column center,
     one-hot corner indicator for columns whose azimuth sector holds a vertex."""
-    az = pixel_center_lons(grid)
-    r = _kernels.boundary_range(room.edges, az)
+    _, _, cos_lon, sin_lon = pixel_center_trig(grid)
+    r, _ = _kernels._first_crossing(room.edges, cos_lon, sin_lon)
     floor_rows = lat_to_row(-np.arctan(room.cam_to_floor / r), grid)
     ceil_rows = lat_to_row(np.arctan(room.cam_to_ceil / r), grid)
     corner = np.zeros(grid.width, dtype=np.float64)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,15 +26,7 @@ class MetricsReport:
     delta3: float
 
     def to_dict(self) -> dict:
-        return {
-            "abs_rel": self.abs_rel,
-            "sq_rel": self.sq_rel,
-            "rmse": self.rmse,
-            "mae": self.mae,
-            "delta1": self.delta1,
-            "delta2": self.delta2,
-            "delta3": self.delta3,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         """JSON with each field at 9 significant digits."""
@@ -128,15 +120,7 @@ def eval_metrics(pred: DepthMap, gt: DepthMap, mask: SegMap | None = None) -> Me
         flat = np.flatnonzero(valid)
         sums = _pairwise(0, n, lambda a, b: _error_sums(p.take(flat[a:b]), g.take(flat[a:b])))
     abs_rel, sq_rel, sq, mae, *hits = (s / n for s in sums.tolist())
-    return MetricsReport(
-        abs_rel=abs_rel,
-        sq_rel=sq_rel,
-        rmse=float(np.sqrt(sq)),
-        mae=mae,
-        delta1=hits[0],
-        delta2=hits[1],
-        delta3=hits[2],
-    )
+    return MetricsReport(abs_rel, sq_rel, float(np.sqrt(sq)), mae, *hits)
 
 
 def focal_loss(pred: SegMap, labels: SegMap, params: FocalParams = FocalParams()) -> float:

@@ -228,5 +228,11 @@ def corrupt_depth(depth: DepthMap, noise: NoiseSpec) -> DepthMap:
     n_out = int(round(noise.outlier_frac * n))
     perm = rng.permutation(n)
     flat[perm[:n_salt]] = 0.0
-    flat[perm[n_salt : n_salt + n_out]] += noise.outlier_offset
-    return DepthMap(grid=depth.grid, values=flat.reshape(depth.grid.shape))
+    outliers = perm[n_salt : n_salt + n_out]
+    # the input is a valid map: only a pushed depth can leave the range
+    with np.errstate(over="ignore"):
+        pushed = flat[outliers] + noise.outlier_offset
+    if not np.isfinite(pushed).all():
+        raise ValueRangeError("depth values must be finite")
+    flat[outliers] = pushed
+    return DepthMap._own(depth.grid, flat.reshape(depth.grid.shape))

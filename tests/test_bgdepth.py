@@ -17,12 +17,13 @@ from panoroom import (
     resolve_camera_heights,
     room_to_layout,
 )
+from panoroom import _kernels
 from panoroom.bgdepth import (
     _column_estimates_interior,
     cap_depth,
     wall_depth,
 )
-from panoroom.equirect import pixel_center_lats
+from panoroom.equirect import lat_to_row, pixel_center_lats, pixel_center_lons
 from panoroom.errors import NoValidSamplesError, ValueRangeError
 
 from conftest import make_scene, mixed_scenes
@@ -209,14 +210,74 @@ def loop_column_estimates_interior(layout, coarse, grid):
     return up, down
 
 
+# --- the plane depth and wall range as each stage once wrote them ----------
+
+
+def reference_cap_depth(lat_mag, height, mode):
+    """The background's cap formula: ``h / sin(lat_mag)``, or ``h / lat_mag``
+    in the small-angle form."""
+    if mode == "exact":
+        return height / np.sin(lat_mag)
+    return height / np.asarray(lat_mag, dtype=np.float64)
+
+
+def reference_t_plane(dz, cam_down, cam_up):
+    """The ray-cast's floor/ceiling distance ``+-h / dz``, inf on the horizon."""
+    return np.where(dz < 0.0, -cam_down / dz, np.where(dz > 0.0, cam_up / dz, np.inf))
+
+
+def reference_boundary_range(edges, azimuths):
+    """Horizontal distance to the first wall along each azimuth."""
+    return _kernels._first_crossing(edges, np.cos(azimuths), np.sin(azimuths))[0]
+
+
+@pytest.mark.parametrize("height", [2, 3, 32, 33, 512, 513])
+def test_plane_depth_matches_both_references(height):
+    grid = GridSpec(width=2 * height, height=height)
+    lat = pixel_center_lats(grid)[:, None]
+    above, below = lat[:, 0] > 0.0, lat[:, 0] < 0.0
+    horizon = ~above & ~below
+    assert horizon.sum() == height % 2
+    for room in (make_scene(5).room, make_scene(6, plan="lshape").room):
+        down, up = room.cam_to_floor, room.cam_to_ceil
+        t_plane = _kernels.shell_parts(room.edges, down, up, grid).t_plane
+        with np.errstate(divide="ignore"):
+            assert t_plane.tobytes() == reference_t_plane(np.sin(lat), down, up).tobytes()
+            # off the horizon the ray-cast's plane distance is the cap formula
+            want = reference_cap_depth(lat[above], up, "exact")
+            assert t_plane[above].tobytes() == want.tobytes()
+            want = reference_cap_depth(-lat[below], down, "exact")
+            assert t_plane[below].tobytes() == want.tobytes()
+            assert np.all(t_plane[horizon] == np.inf)
+            for mode in ("exact", "paper-literal"):
+                for h in (down, up):
+                    want = reference_cap_depth(np.abs(lat), h, mode)
+                    assert cap_depth(np.abs(lat), h, mode).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("height", [33, 512])
+def test_wall_range_matches_the_boundary_range_reference(height):
+    grid = GridSpec(width=2 * height, height=height)
+    for scene in mixed_scenes(20):
+        room = scene.room
+        r = reference_boundary_range(room.edges, pixel_center_lons(grid))
+        layout = room_to_layout(room, grid)
+        floor = lat_to_row(-np.arctan(room.cam_to_floor / r), grid)
+        ceil = lat_to_row(np.arctan(room.cam_to_ceil / r), grid)
+        assert layout.floor_rows.tobytes() == floor.tobytes(), scene.seed
+        assert layout.ceil_rows.tobytes() == ceil.tobytes(), scene.seed
+        parts = _kernels.shell_parts(room.edges, room.cam_to_floor, room.cam_to_ceil, grid)
+        assert parts.wall.tobytes() == r.tobytes(), scene.seed
+
+
 def nested_where_background(layout, heights, grid, mode):
     """Reference: every formula over the full grid, picked by region label."""
     region = classify_regions(layout, grid)
     lat = pixel_center_lats(grid)[:, None]
     wall_range = heights.down / np.tan((layout.floor_rows / grid.height - 0.5) * np.pi)
     with np.errstate(divide="ignore", invalid="ignore"):
-        d_ceil = cap_depth(lat, heights.up, mode)
-        d_floor = cap_depth(-lat, heights.down, mode)
+        d_ceil = reference_cap_depth(lat, heights.up, mode)
+        d_floor = reference_cap_depth(-lat, heights.down, mode)
         d_wall = wall_depth(lat, wall_range[None, :], mode)
     return np.where(region == CEILING, d_ceil, np.where(region == FLOOR, d_floor, d_wall))
 

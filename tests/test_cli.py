@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import panoroom
-from panoroom import cli, synth
+from panoroom import cli, equirect, synth
 from panoroom.cli import main
 from panoroom.formats import read_pfm, write_pfm
 
@@ -266,6 +266,11 @@ def denoise_with_slack(tmp_path, slack, cam_to_floor=1.5, x_max=1, clockwise=Fal
                     "--gamma", "nan", "--out", p / "o.pfm"], "value-range"),
         (lambda p: ["synth", "--seed", 0, "--count", 1, "--out-dir", p / "s",
                     "--boxes", 3, 1], "value-range"),
+        # refused before any map is allocated
+        (lambda p: ["synth", "--seed", 0, "--count", 1, "--out-dir", p / "s",
+                    "--height", equirect._MAX_HEIGHT + 1], "value-range"),
+        (lambda p: bg_with_layout(p, width=2 * equirect._MAX_HEIGHT + 2,
+                                  height=equirect._MAX_HEIGHT + 1), "value-range"),
         (lambda p: ["pointcloud", "--depth", write_bytes(p / "d.pfm", b"P5\n8 4\n255\n"),
                     "--out", p / "o.ply"], "pfm-magic"),
         (lambda p: ["pointcloud", "--depth", write_bytes(p / "d.pfm", b"Pf\n8 4\nnan\n"
@@ -279,7 +284,8 @@ def denoise_with_slack(tmp_path, slack, cam_to_floor=1.5, x_max=1, clockwise=Fal
     ids=["pfm-nan", "pfm-negative", "layout-8x8", "corner-prob-2", "ceil-rows",
          "slack-negative", "slack-nan", "room-height-overflow", "room-vertex-overflow",
          "seg-above-1", "gamma-negative", "gamma-nan",
-         "boxes-reversed", "pfm-magic", "pfm-nan-scale", "gt-all-zero", "room-clockwise"],
+         "boxes-reversed", "synth-height-over-bound", "layout-over-bound", "pfm-magic",
+         "pfm-nan-scale", "gt-all-zero", "room-clockwise"],
 )
 def test_value_errors_get_their_code(tmp_path, capsys, argv, code):
     rc = run(argv(tmp_path))

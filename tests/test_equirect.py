@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from panoroom import GridSpec
+from panoroom import GridSpec, equirect
 from panoroom.equirect import (
     col_to_lon,
     lat_to_row,
@@ -11,6 +11,7 @@ from panoroom.equirect import (
     row_to_lat,
     wrap_angle,
 )
+from panoroom.errors import ValueRangeError
 
 GRID = GridSpec(width=1024, height=512)
 
@@ -20,6 +21,13 @@ def test_grid_requires_2_to_1_aspect():
         GridSpec(width=100, height=100)
     with pytest.raises(ValueError):
         GridSpec(width=0, height=0)
+
+
+def test_grid_height_is_bounded():
+    bound = equirect._MAX_HEIGHT
+    assert GridSpec(width=2 * bound, height=bound).shape == (bound, 2 * bound)
+    with pytest.raises(ValueRangeError):
+        GridSpec(width=2 * bound + 2, height=bound + 1)
 
 
 def test_midline_quarter_row():

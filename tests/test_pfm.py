@@ -104,6 +104,29 @@ def test_longest_header_tokens_parse(tmp_path):
     assert np.array_equal(read_pfm(str(path)), np.array([[1.0, 2.0]], dtype=np.float32))
 
 
+def header_of_length(n):
+    """A 1 x 2 map's header of exactly ``n`` bytes: the longest tokens, then
+    spaces before the scale line."""
+    head = b"Pf\n" + b"0" * 63 + b"2 " + b"0" * 63 + b"1\n"
+    scale = b"-1." + b"0" * 61 + b"\n"
+    return head + b" " * (n - len(head) - len(scale)) + scale
+
+
+def test_header_at_the_bound_parses(tmp_path):
+    path = tmp_path / "bound.pfm"
+    path.write_bytes(header_of_length(formats._MAX_HEADER) + struct.pack("<2f", 1.0, 2.0))
+    assert np.array_equal(read_pfm(str(path)), np.array([[1.0, 2.0]], dtype=np.float32))
+
+
+@pytest.mark.parametrize("padding", [1, 1_000_000], ids=["one-byte", "1MB"])
+def test_header_past_the_bound_is_header_error(tmp_path, padding):
+    path = tmp_path / "padded.pfm"
+    path.write_bytes(header_of_length(formats._MAX_HEADER + padding)
+                     + struct.pack("<2f", 1.0, 2.0))
+    with pytest.raises(PfmHeaderError, match="header longer than"):
+        read_pfm(str(path))
+
+
 @pytest.mark.parametrize(
     "header",
     [b"P" * 65 + b"\n1 1\n-1.0", b"Pf\n" + b"0" * 64 + b"1 1\n-1.0",

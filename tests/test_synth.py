@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from panoroom import (
+    DepthMap,
     GridSpec,
     NoiseSpec,
     SceneConfig,
@@ -159,6 +160,13 @@ def test_corrupt_identity_and_determinism():
     a = corrupt_depth(depth, NoiseSpec(0.05, 0.1, 2.0, seed=5))
     b = corrupt_depth(depth, NoiseSpec(0.05, 0.1, 2.0, seed=5))
     assert np.array_equal(a.values, b.values)
+
+
+def test_corrupt_outlier_overflow_is_value_range():
+    # any positive offset is allowed, so the pushed depth can leave the floats
+    depth = DepthMap(grid=GRID, values=np.full(GRID.shape, 1e308))
+    with pytest.raises(ValueRangeError, match="finite"):
+        corrupt_depth(depth, NoiseSpec(0.0, 0.1, 1e308, seed=5))
 
 
 def test_corrupt_fraction_counts():
