@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import os
 import re
 import stat
@@ -20,7 +21,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from .bgdepth import _row_bands
-from .equirect import GridSpec, pixel_center_trig
+from .equirect import _MAX_HEIGHT, GridSpec, pixel_center_trig
 from .errors import (
     PfmHeaderError,
     PfmMagicError,
@@ -143,6 +144,12 @@ def read_pfm(path: str) -> np.ndarray:
             available = st.st_size - pos
             raise PfmTruncatedError(
                 f"PFM payload truncated: expected {size} bytes, got {available}"
+            )
+        # a stream has no length to check: refuse what no grid can hold
+        # before allocating it
+        if w > 2 * _MAX_HEIGHT or h > _MAX_HEIGHT:
+            raise PfmHeaderError(
+                f"PFM dimensions {w} x {h} exceed the largest grid, {2 * _MAX_HEIGHT} x {_MAX_HEIGHT}"
             )
         # the payload's first bytes came with the header block
         payload = np.empty(size, dtype=np.uint8)
@@ -279,29 +286,28 @@ def read_json(path: str) -> dict:
 # --- PLY --------------------------------------------------------------------
 
 # Points formatted and written per step. It bounds the writer's working
-# memory whatever the size of the cloud. Chunks this small also keep each
-# float64 temporary under 100 KiB; the formatter measured ~1.4x faster per
-# point than with 16384-point chunks (124k-point cloud, 2-CPU x86 host).
+# memory whatever the size of the cloud; a chunk's largest temporary, its
+# word indices, takes 288 KiB. With the word table, chunks of 2048 to 8192
+# points wrote a 512x256 map within noise of each other, and 16384-point
+# chunks ~10% slower (2-CPU x86 host).
 PLY_CHUNK_POINTS = 4096
 
-# ASCII tens and units digits of 0..99
-_DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
-_TENS = np.repeat(_DIGITS, 10)
-_UNITS = np.tile(_DIGITS, 10)
+
+def _digit_words() -> np.ndarray:
+    """The 4-byte pieces of a formatted value, as one uint32 table. For n
+    below 1000, entry n holds n's digits right-aligned behind NUL bytes,
+    1000 + n the same behind a "-", 2000 + n "." and n as three digits, and
+    3000 + n n as three digits and " "."""
+    words = (
+        [str(n).rjust(4, "\0") for n in range(1000)]
+        + [f"-{n}".rjust(4, "\0") for n in range(1000)]
+        + [f".{n:03d}" for n in range(1000)]
+        + [f"{n:03d} " for n in range(1000)]
+    )
+    return np.frombuffer("".join(words).encode("ascii"), dtype=np.uint32)
 
 
-def _put_digits(dst: np.ndarray, values: np.ndarray, count: int) -> None:
-    """Write ``values`` (non-negative ints below 10**count) as ``count``
-    zero-padded decimal digits into ``dst[..., :count]``.
-
-    Digits go in two at a time, one byte column per assignment: a column is
-    a single strided loop, where a two-byte slice costs a loop per value.
-    """
-    for stop in range(count, 0, -2):
-        values, pair = np.divmod(values, 100)
-        dst[..., stop - 1] = np.take(_UNITS, pair)
-        if stop >= 2:
-            dst[..., stop - 2] = np.take(_TENS, pair)
+_WORDS = _digit_words()
 
 
 def _format_points(pts: np.ndarray) -> bytes:
@@ -311,39 +317,36 @@ def _format_points(pts: np.ndarray) -> bytes:
     unless the scaled value lands exactly on ``k + 0.5``: the product's own
     rounding can put it there from either side (``2.5e-6`` prints as
     ``0.000003``), and there ``rint`` rounds half to even. When ``pts``
-    holds such a value, a non-finite one, or one of 1e9 or more (whose
-    digits would not fit uint32), all of it goes through the f-string.
+    holds such a value, a non-finite one, or one that rounds to 1000 or more
+    (four integer digits), all of it goes through the f-string.
+
+    Each value is three words of ``_WORDS``: its sign and integer digits,
+    then "." and the first three fraction digits, then the last three and
+    the separator. Deleting the NUL bytes that pad the first word leaves
+    the text.
     """
-    with np.errstate(over="ignore"):  # overflow gives inf, which fails the test below
+    with np.errstate(over="ignore"):  # overflow gives inf, which fails the range test
         scaled = np.abs(pts) * 1e6
-    exact = bool(np.all(scaled < 1e15))  # false for inf and nan as well
-    if exact:
-        rounded = np.rint(scaled)
-        exact = not np.any(np.abs(rounded - scaled) == 0.5)
-    if not exact:
+    rounded = np.rint(scaled)
+    # a nan makes the max nan, which fails the range test as well
+    if not (rounded.max() < 1e9 and np.abs(rounded - scaled).max() != 0.5):
         return "".join(f"{x:.6f} {y:.6f} {z:.6f}\n" for x, y, z in pts).encode("ascii")
 
-    # the exact quotient is an integer or at least 1e-6 below the next one,
-    # and below 1e9 its rounding error is under 1e-7: trunc is exact
-    whole = np.trunc(rounded / 1e6)
-    frac = (rounded - whole * 1e6).astype(np.uint32)
-    whole = whole.astype(np.uint32)
-    ndig = len(str(int(whole.max())))
-    # one fixed-width field per value: sign, ndig integer digits, ".",
-    # six fraction digits, then " " or "\n"
-    field = np.empty(pts.shape + (ndig + 9,), dtype=np.uint8)
-    field[..., 0] = ord("-")
-    _put_digits(field[..., 1:], whole, ndig)
-    field[..., ndig + 1] = ord(".")
-    _put_digits(field[..., ndig + 2 :], frac, 6)
-    field[:, :2, -1] = ord(" ")
-    field[:, 2, -1] = ord("\n")
-    # drop the sign of non-negative values (signbit keeps "-0.000000") and
-    # the leading zeros of the integer part
-    keep = np.ones(field.shape, dtype=bool)
-    keep[..., 0] = np.signbit(pts)
-    keep[..., 1:ndig] = whole[..., None] >= 10 ** np.arange(ndig - 1, 0, -1, dtype=np.uint32)
-    return field[keep].tobytes()
+    # below 2e9 with the sign added (signbit keeps "-0.000000"), so uint32
+    # holds it; floor division by a scalar is vectorised, % is not
+    r = rounded.astype(np.uint32)
+    r += np.signbit(pts) * np.uint32(1_000_000_000)
+    thousands = r // 1000
+    whole = thousands // 1000  # the integer part, plus 1000 if negative
+    idx = np.empty(pts.shape + (3,), dtype=np.intp)
+    idx[..., 0] = whole
+    np.subtract(thousands, whole * 1000, out=idx[..., 1])
+    np.subtract(r, thousands * 1000, out=idx[..., 2])
+    idx[..., 1] += 2000
+    idx[..., 2] += 3000
+    words = np.take(_WORDS, idx)
+    words.view(np.uint8)[:, 2, -1] = ord("\n")  # the separator after z
+    return words.tobytes().translate(None, b"\0")
 
 
 def _unproject_bands(depth_values: np.ndarray, grid: GridSpec):
@@ -354,11 +357,15 @@ def _unproject_bands(depth_values: np.ndarray, grid: GridSpec):
     for rows in _row_bands(grid):
         d = depth_values[rows]
         valid = d > 0
-        pts = np.empty((np.count_nonzero(valid), 3))
-        pts[:, 0] = (cos_lat[rows] * cos_lon)[valid]
-        pts[:, 1] = (cos_lat[rows] * sin_lon)[valid]
-        pts[:, 2] = np.broadcast_to(sin_lat[rows], d.shape)[valid]
-        pts *= d[valid][:, None]
+        n = np.count_nonzero(valid)
+        # a band with no invalid pixel, as every band of a denoised map, is
+        # taken whole without the boolean gathers
+        pick = np.ravel if n == valid.size else operator.itemgetter(valid)
+        d = pick(d)
+        pts = np.empty((n, 3))
+        np.multiply(pick(cos_lat[rows] * cos_lon), d, out=pts[:, 0])
+        np.multiply(pick(cos_lat[rows] * sin_lon), d, out=pts[:, 1])
+        np.multiply(pick(np.broadcast_to(sin_lat[rows], valid.shape)), d, out=pts[:, 2])
         yield pts
 
 

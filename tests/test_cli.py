@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -353,6 +354,25 @@ def test_huge_pfm_header_on_a_tiny_file(tmp_path):
     lines = proc.stderr.splitlines()
     assert proc.returncode == 2, proc.stderr
     assert len(lines) == 1 and lines[0].startswith("error: pfm-truncated: "), lines
+    assert not (tmp_path / "o.ply").exists()
+
+
+def test_oversized_pfm_dimensions_on_a_stream(tmp_path, capsys):
+    """A stream has no length to check its header against, so dimensions
+    beyond the largest grid are refused before the payload is allocated."""
+    fifo = tmp_path / "depth.pfm"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as f:
+            f.write(b"Pf\n100000000000 100000000000\n-1.0\n")
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    rc = run(["pointcloud", "--depth", fifo, "--out", tmp_path / "o.ply"])
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert_one_error_line(capsys, rc, "pfm-header")
     assert not (tmp_path / "o.ply").exists()
 
 
