@@ -27,7 +27,6 @@ from .layout import CameraHeights, LayoutMap, floor_wall_range
 CEILING, WALL, FLOOR = 0, 1, 2
 
 RESOLVE_MODES = ("exact", "paper-literal")
-AGGREGATORS = ("median", "mean")
 
 # Values per band of a banded stage: 128 KiB of float64, so a band's
 # operands and temporaries stay in a 2 MiB L2 cache. Whole-grid numpy ops
@@ -196,16 +195,13 @@ def resolve_camera_heights(
     layout: LayoutMap,
     coarse: DepthMap,
     grid: GridSpec,
-    aggregator: str = "median",
 ) -> CameraHeights:
     """Recover (up, down) camera heights from layout boundaries plus depth.
 
     Each column votes ``h = d * sin(|lat|)`` at the valid pixel center
     nearest its boundary inside the ceiling (floor) region, which is exact on
-    clean maps; ``aggregator`` (one of ``AGGREGATORS``) reduces the votes.
+    clean maps; each height is the median of its votes.
     """
-    if aggregator not in AGGREGATORS:
-        raise ValueRangeError(f"aggregator must be one of {AGGREGATORS}, got {aggregator!r}")
     layout.validate_against(grid)
     if coarse.grid != grid:
         raise ShapeMismatchError("coarse depth grid differs from requested grid")
@@ -214,8 +210,7 @@ def resolve_camera_heights(
     down_valid = down[np.isfinite(down)]
     if len(up_valid) == 0 or len(down_valid) == 0:
         raise NoValidSamplesError("no column produced a valid boundary depth sample")
-    reduce = np.median if aggregator == "median" else np.mean
-    return CameraHeights(up=float(reduce(up_valid)), down=float(reduce(down_valid)))
+    return CameraHeights(up=float(np.median(up_valid)), down=float(np.median(down_valid)))
 
 
 def resolve_background_depth(

@@ -18,7 +18,7 @@ import numpy as np
 from . import bgdepth, denoise, formats, fusion, metrics, synth
 from .bgdepth import DepthMap
 from .equirect import GridSpec
-from .errors import PanoroomError, ValueRangeError
+from .errors import PanoroomError, UsageError, ValueRangeError
 from .fusion import SegMap
 from .layout import room_to_layout
 
@@ -66,7 +66,7 @@ def _cmd_synth(args) -> int:
 def _cmd_bg(args) -> int:
     layout, grid = formats.layout_from_dict(formats.read_json(args.layout))
     coarse = _load_depth(args.coarse)
-    heights = bgdepth.resolve_camera_heights(layout, coarse, grid, aggregator=args.aggregator)
+    heights = bgdepth.resolve_camera_heights(layout, coarse, grid)
     bg = bgdepth.resolve_background_depth(layout, heights, grid, mode=args.mode)
     formats.write_pfm(bg.values, args.out)
     return 0
@@ -113,10 +113,18 @@ def _cmd_pointcloud(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises ``UsageError`` where argparse would
+    print its usage text and exit; its subcommand parsers are the same kind."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser, built on the first call and shared after it."""
-    parser = argparse.ArgumentParser(prog="panoroom")
+    parser = _Parser(prog="panoroom")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate synthetic scenes with oracle renders")
@@ -132,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layout", required=True)
     p.add_argument("--coarse", required=True)
     p.add_argument("--mode", choices=["exact", "paper-literal"], default="exact")
-    p.add_argument("--aggregator", choices=["median", "mean"], default="median")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bg)
 
@@ -174,9 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except PanoroomError as e:
         print(f"error: {e.code}: {e}", file=sys.stderr)

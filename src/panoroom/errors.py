@@ -71,3 +71,10 @@ class SchemaError(PanoroomError):
     ragged array."""
 
     code = "schema"
+
+
+class UsageError(PanoroomError):
+    """A command line the CLI cannot parse: an unknown command or option, a
+    value of the wrong type, or a required option left out."""
+
+    code = "usage"

@@ -15,7 +15,6 @@ import operator
 import os
 import re
 import stat
-import tempfile
 from collections.abc import Iterable
 
 import numpy as np
@@ -34,42 +33,17 @@ from .layout import LayoutMap, ManhattanRoom
 from .synth import SceneSpec
 
 
-# Linux reports the umask here; reading it leaves the process umask alone
-_PROC_STATUS = "/proc/self/status"
-
-
-def _current_umask() -> int:
-    """The process umask.
-
-    Read from the ``Umask:`` line of ``_PROC_STATUS`` where there is one.
-    Elsewhere it falls back to ``os.umask``, which reads the umask only by
-    setting it, leaving a window in which a file another thread creates
-    gets mode 0666.
-    """
-    try:
-        with open(_PROC_STATUS, "rb") as f:
-            for line in f:
-                if line.startswith(b"Umask:"):
-                    return int(line.split()[1], 8)
-    except OSError:
-        pass
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
 def _atomic_write(path: str, chunks: Iterable) -> None:
     """Write the concatenated ``chunks`` (bytes-like, e.g. C-contiguous
     arrays) to ``path`` via a temp file + rename.
 
-    If writing or producing a chunk fails, the temp file is removed and
-    ``path`` keeps whatever it held before.
+    The temp file is created with mode 0666 less the umask, as ``open()``
+    creates a file. If writing or producing a chunk fails, the temp file is
+    removed and ``path`` keeps whatever it held before.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), os.urandom(8).hex() + ".tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
-        # mkstemp creates the file 0600; give it the mode open() would have
-        os.fchmod(fd, 0o666 & ~_current_umask())
         with os.fdopen(fd, "wb") as f:
             for chunk in chunks:
                 f.write(chunk)
@@ -260,18 +234,6 @@ def scene_to_dict(scene: SceneSpec) -> dict:
     d["boxes"] = [{"min": b[:3], "max": b[3:]} for b in scene.boxes.tolist()]
     d["seed"] = int(scene.seed)
     return d
-
-
-def scene_from_dict(d: dict) -> SceneSpec:
-    room = room_from_dict(d)
-    boxes = d.get("boxes", [])
-    if not isinstance(boxes, list):
-        raise SchemaError(f"'boxes' must be a list, got {type(boxes).__name__}")
-    boxes = np.array(
-        [[*_array(b, "min", (3,)), *_array(b, "max", (3,))] for b in boxes], dtype=np.float64
-    ).reshape(-1, 6)
-    seed = _integer(d, "seed") if "seed" in d else 0
-    return SceneSpec(room=room, boxes=boxes, seed=seed)
 
 
 def read_json(path: str) -> dict:

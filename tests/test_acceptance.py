@@ -83,9 +83,7 @@ def test_criterion_2_camera_height_recovery():
         corrupted = coarse.values.copy()
         bad = rng.choice(HALF.width, size=int(0.3 * HALF.width), replace=False)
         corrupted[:, bad] *= 10.0
-        h2 = resolve_camera_heights(
-            layout, DepthMap(grid=HALF, values=corrupted), HALF, aggregator="median"
-        )
+        h2 = resolve_camera_heights(layout, DepthMap(grid=HALF, values=corrupted), HALF)
         err2 = max(
             abs(h2.up - scene.room.cam_to_ceil), abs(h2.down - scene.room.cam_to_floor)
         )

@@ -54,9 +54,7 @@ def test_median_robust_to_corrupted_columns():
     rng = np.random.default_rng(0)
     bad = rng.choice(GRID.width, size=int(0.3 * GRID.width), replace=False)
     coarse[:, bad] *= 10.0
-    heights = resolve_camera_heights(
-        layout, DepthMap(grid=GRID, values=coarse), GRID, aggregator="median"
-    )
+    heights = resolve_camera_heights(layout, DepthMap(grid=GRID, values=coarse), GRID)
     assert heights.down == pytest.approx(scene.room.cam_to_floor, abs=1e-6)
     assert heights.up == pytest.approx(scene.room.cam_to_ceil, abs=1e-6)
 

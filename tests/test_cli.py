@@ -65,7 +65,6 @@ def test_bg_pipeline_matches_oracle(tmp_path):
             "--layout", os.path.join(scene_dir, "layout.json"),
             "--coarse", os.path.join(scene_dir, "gt.pfm"),
             "--mode", "exact",
-            "--aggregator", "median",
             "--out", out,
         ]
     )
@@ -267,6 +266,10 @@ def denoise_with_slack(tmp_path, slack, cam_to_floor=1.5, x_max=1, clockwise=Fal
                     "--gamma", "nan", "--out", p / "o.pfm"], "value-range"),
         (lambda p: ["synth", "--seed", 0, "--count", 1, "--out-dir", p / "s",
                     "--boxes", 3, 1], "value-range"),
+        (lambda p: ["synth", "--seed", 0, "--count", 1, "--out-dir", p / "s", "--height", 8,
+                    "--boxes", 0, 99999999999999999999], "value-range"),
+        (lambda p: ["synth", "--seed", 0, "--count", 1, "--out-dir", p / "s", "--height", 8,
+                    "--boxes", 0, 100000000], "value-range"),
         # refused before any map is allocated
         (lambda p: ["synth", "--seed", 0, "--count", 1, "--out-dir", p / "s",
                     "--height", equirect._MAX_HEIGHT + 1], "value-range"),
@@ -285,12 +288,32 @@ def denoise_with_slack(tmp_path, slack, cam_to_floor=1.5, x_max=1, clockwise=Fal
     ids=["pfm-nan", "pfm-negative", "layout-8x8", "corner-prob-2", "ceil-rows",
          "slack-negative", "slack-nan", "room-height-overflow", "room-vertex-overflow",
          "seg-above-1", "gamma-negative", "gamma-nan",
-         "boxes-reversed", "synth-height-over-bound", "layout-over-bound", "pfm-magic",
+         "boxes-reversed", "boxes-beyond-int64", "boxes-over-bound", "synth-height-over-bound",
+         "layout-over-bound", "pfm-magic",
          "pfm-nan-scale", "gt-all-zero", "room-clockwise"],
 )
 def test_value_errors_get_their_code(tmp_path, capsys, argv, code):
     rc = run(argv(tmp_path))
     assert_one_error_line(capsys, rc, code)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [lambda p: ["synth", "--seed", "x", "--count", 1, "--out-dir", p / "s"],
+     lambda p: ["bg", "--layout", p / "layout.json"]],
+    ids=["bad-int", "missing-option"],
+)
+def test_usage_errors_get_their_code(tmp_path, capsys, argv):
+    rc = run(argv(tmp_path))
+    assert_one_error_line(capsys, rc, "usage")
+    assert os.listdir(tmp_path) == []
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        run(["bg", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: panoroom bg")
 
 
 def _truncated(text):

@@ -25,7 +25,7 @@ from panoroom import (
     room_to_layout,
     total_loss,
 )
-from panoroom import errors, synth
+from panoroom import cli, errors, synth
 from panoroom.errors import PanoroomError
 from panoroom.formats import layout_from_dict, read_pfm, write_pfm
 
@@ -45,22 +45,17 @@ HEIGHTS = CameraHeights(up=1.0, down=1.5)
         (lambda: FocalParams(eta=-1.0), "value-range"),
         (lambda: LossWeights(lambda2=-1.0), "value-range"),
         (lambda: total_loss(1.0, math.nan, 1.0), "value-range"),
-        (lambda: resolve_camera_heights(LAYOUT, COARSE, GRID, aggregator="max"), "value-range"),
-        (lambda: resolve_camera_heights(LAYOUT, COARSE, GRID, aggregator=7), "value-range"),
-        (lambda: resolve_camera_heights(LAYOUT, COARSE, GRID, aggregator=10**6), "value-range"),
-        (lambda: resolve_camera_heights(LAYOUT, COARSE, GRID, aggregator=["median"]),
-         "value-range"),
         (lambda: resolve_background_depth(LAYOUT, HEIGHTS, GRID, mode="approx"), "value-range"),
         (lambda: SceneSpec(room=SCENE.room, boxes=[0, 0, 0, 1, -1, 1], seed=0), "value-range"),
         (lambda: NoiseSpec(salt_frac=1.5), "value-range"),
         (lambda: NoiseSpec(salt_frac=0.6, outlier_frac=0.6), "value-range"),
         (lambda: NoiseSpec(outlier_offset=0.0), "value-range"),
         (lambda: SceneConfig(plan="round"), "value-range"),
+        (lambda: SceneConfig(box_count_range=(0, synth.MAX_BOXES + 1)), "value-range"),
         (lambda: write_pfm(np.ones((2, 4, 1)), "unwritten.pfm"), "shape-mismatch"),
     ],
-    ids=["focal-alpha", "focal-eta", "loss-weight", "loss-term", "aggregator",
-         "aggregator-column", "aggregator-huge", "aggregator-list", "mode", "box-extent",
-         "noise-fraction", "noise-sum", "noise-offset", "plan", "pfm-3d"],
+    ids=["focal-alpha", "focal-eta", "loss-weight", "loss-term", "mode", "box-extent",
+         "noise-fraction", "noise-sum", "noise-offset", "plan", "box-count", "pfm-3d"],
 )
 def test_library_errors_carry_a_code(call, code):
     with pytest.raises(PanoroomError) as info:
@@ -94,6 +89,7 @@ CENSUS = {
     "pfm-header": lambda tmp_path, mp: read_pfm(_pfm(tmp_path, b"Pf\nx 1\n-1.0\n")),
     "pfm-truncated": lambda tmp_path, mp: read_pfm(_pfm(tmp_path, b"Pf\n2 1\n-1.0\n\0")),
     "schema": lambda tmp_path, mp: layout_from_dict({}),
+    "usage": lambda tmp_path, mp: cli.build_parser().parse_args(["synth"]),
 }
 
 

@@ -11,18 +11,14 @@ from panoroom.errors import (
     PfmHeaderError,
     PfmMagicError,
     PfmTruncatedError,
-    SchemaError,
     ValueRangeError,
 )
 from panoroom.formats import (
     read_pfm,
-    scene_from_dict,
-    scene_to_dict,
     write_json,
     write_ply_pointcloud,
     write_pfm,
 )
-from panoroom.synth import SceneConfig, generate_scene
 
 
 def test_golden_single_pixel(tmp_path):
@@ -172,9 +168,6 @@ def test_written_files_follow_umask(tmp_path, umask, mode):
 
 
 def test_umask_is_read_without_changing_it(tmp_path, monkeypatch):
-    with open(formats._PROC_STATUS, "rb") as f:
-        if not any(line.startswith(b"Umask:") for line in f):
-            pytest.skip("the process status reports no umask here")
     previous = os.umask(0o027)
 
     def umask_called(mask):
@@ -188,47 +181,6 @@ def test_umask_is_read_without_changing_it(tmp_path, monkeypatch):
         os.umask(previous)
     for path in paths:
         assert stat.S_IMODE(path.stat().st_mode) == 0o640, path.name
-
-
-def test_umask_falls_back_without_the_status_line(tmp_path, monkeypatch):
-    status = tmp_path / "status"
-    status.write_bytes(b"Name:\tpython\nPid:\t1\n")
-    monkeypatch.setattr(formats, "_PROC_STATUS", str(status))
-    previous = os.umask(0o077)
-    try:
-        paths = write_each_format(tmp_path)
-        monkeypatch.setattr(formats, "_PROC_STATUS", str(tmp_path / "missing"))
-        paths += write_each_format(tmp_path)
-        assert os.umask(0o077) == 0o077  # restored after each read
-    finally:
-        os.umask(previous)
-    for path in paths:
-        assert stat.S_IMODE(path.stat().st_mode) == 0o600, path.name
-
-
-def scene_doc():
-    return scene_to_dict(generate_scene(4, SceneConfig(box_count_range=(2, 2))))
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda d: d.pop("cam_to_ceil"),
-        lambda d: d.update(seed="4"),
-        lambda d: d.update(boxes={"min": [0, 0, 0]}),
-        lambda d: d["boxes"][0].pop("max"),
-        lambda d: d["boxes"][1].update(min=[0.0, 1.0]),
-        lambda d: d["boxes"].append([0, 0, 0, 1, 1, 1]),
-    ],
-    ids=["missing-height", "seed-str", "boxes-object", "box-missing-max", "box-short",
-         "box-list"],
-)
-def test_scene_schema_errors(edit):
-    doc = scene_doc()
-    assert scene_from_dict(doc).boxes.shape == (2, 6)
-    edit(doc)
-    with pytest.raises(SchemaError):
-        scene_from_dict(doc)
 
 
 def _parent_pfm_bytes(values):
