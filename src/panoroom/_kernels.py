@@ -10,11 +10,13 @@ scene instead of testing every pixel against every surface:
   (``plane_depth``, which the background depth shares). For a simple
   polygon containing the origin this equals the full surface test: a
   floor/ceiling point lies inside the room exactly when it comes before
-  the ray's first wall crossing;
+  the ray's first wall crossing. Rows on which the plane is nearer than
+  every wall take the plane distance without the per-pixel division;
 * each box is slab-tested only inside a conservative row x column
-  footprint derived from its corner azimuths and latitude extremes, on a
-  copy of the shell, so one call yields both the room-only and the
-  foreground render.
+  footprint derived from its corner azimuths and latitude extremes.
+
+The shell is built a row band at a time (``shell_band``), so a caller
+that renders band by band never holds a whole-grid map.
 
 Geometry inputs are plain arrays:
 
@@ -106,21 +108,36 @@ def _box_footprint(box, grid):
     return rows, _column_slices(az[0] + rel.min(), az[0] + rel.max(), grid)
 
 
-def _slab_into(best, box, dx, dy, dz):
-    """Lower ``best`` in place to the entry distance of rays that hit ``box``."""
-    tn = np.full(best.shape, -np.inf)
-    tf = np.full(best.shape, np.inf)
-    ok = np.ones(best.shape, dtype=bool)
-    for axis, d in enumerate((dx, dy, dz)):
-        lo = box[axis]
-        hi = box[3 + axis]
-        zero = d == 0.0
-        ok &= ~(zero & ((lo > 0.0) | (hi < 0.0)))
-        t1 = np.where(zero, -np.inf, lo / np.where(zero, 1.0, d))
-        t2 = np.where(zero, np.inf, hi / np.where(zero, 1.0, d))
-        tn = np.where(zero, tn, np.maximum(tn, np.minimum(t1, t2)))
-        tf = np.where(zero, tf, np.minimum(tf, np.maximum(t1, t2)))
-    np.copyto(best, tn, where=ok & (tn <= tf) & (tn > 0.0) & (tn < best))
+def _slab_entry(box, cl, cos_lon, sin_lon, dz, out):
+    """Entry distance into ``box`` of the rays (cl*cos_lon, cl*sin_lon, dz),
+    rows by columns, written to ``out``; inf where a ray misses the box.
+
+    Each axis's near and far planes follow from the sign of its direction
+    component. On pixel-centre rays cl > 0 and no column has cos_lon or
+    sin_lon exactly 0, so only dz can vanish (the horizon row of an
+    odd-height grid): there the z slab holds the whole ray or none of it.
+    The quotients are those of a per-ray slab test, so every entry
+    distance keeps its bits.
+    """
+    x0, y0, z0, x1, y1, z1 = box
+    d = np.multiply(cl, cos_lon)
+    ahead = cos_lon > 0.0
+    np.divide(np.where(ahead, x0, x1), d, out=out)
+    far = np.divide(np.where(ahead, x1, x0), d)
+    np.multiply(cl, sin_lon, out=d)
+    ahead = sin_lon > 0.0
+    np.maximum(out, np.divide(np.where(ahead, y0, y1), d), out=out)
+    np.minimum(far, np.divide(np.where(ahead, y1, y0), d, out=d), out=far)
+    ahead = dz > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z_near = np.where(ahead, z0, z1) / dz
+        z_far = np.where(ahead, z1, z0) / dz
+    flat = dz == 0.0
+    z_near[flat], z_far[flat] = (-np.inf, np.inf) if z0 <= 0.0 <= z1 else (np.inf, -np.inf)
+    np.maximum(out, z_near, out=out)
+    np.minimum(far, z_far, out=far)
+    np.copyto(out, np.inf, where=(out > far) | (out <= 0.0))
+    return out
 
 
 class ShellParts(NamedTuple):
@@ -156,43 +173,48 @@ def shell_parts(edges, cam_down, cam_up, grid) -> ShellParts:
     return ShellParts(plane_depth(dz, cam_down, cam_up), wall, ex, ey, ex * ay - ey * ax)
 
 
-def raycast(edges, cam_down, cam_up, boxes, grid):
-    """Radial distance to the first surface at every pixel centre, (H, W).
+def wall_rows(parts: ShellParts, grid) -> slice:
+    """Rows ``[a, d)`` on which a wall may be nearer than the floor or ceiling.
 
-    Returns ``(shell, depth, footprints)``: the room shell alone, the shell
-    with ``boxes`` in front of it, and the (rows, cols) slices in which the
-    two may differ. Without boxes ``depth`` is ``shell`` itself and
-    ``footprints`` is empty; outside the footprints the two hold the same
-    bits.
-
-    The shell's wall distance is num / (ex*dy - ey*dx) with the ray
-    direction (dx, dy) = cl * (cos_lon, sin_lon), rounded in the same order
-    as a per-pixel direction so every depth keeps its exact bits.
+    Every other row's plane distance lies below the nearest wall's
+    horizontal distance over cos(lat) by a relative margin of 1e-6, far
+    beyond the rounding of a per-pixel wall distance, so the shell there
+    is the plane distance bit for bit. As in the background depth, those
+    rows are the caps [0, a) and [d, H).
     """
-    parts = shell_parts(edges, cam_down, cam_up, grid)
-    cl, dz, cos_lon, sin_lon = pixel_center_trig(grid)
-    det = np.multiply(cl, sin_lon)
-    det *= parts.ex
-    ey_dx = np.multiply(cl, cos_lon)
-    ey_dx *= parts.ey
-    det -= ey_dx
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shell = np.divide(parts.num, det, out=det)
-    shell[:, parts.wall == np.inf] = np.inf
-    np.minimum(shell, parts.t_plane, out=shell)
-    if len(boxes) == 0:
-        return shell, shell, []
-    depth = shell.copy()
-    footprints = []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for box in boxes:
-            rows, col_slices = _box_footprint(box, grid)
-            for cols in col_slices:
-                c = cl[rows]
-                dirs = (c * cos_lon[cols], c * sin_lon[cols], dz[rows])
-                _slab_into(depth[rows, cols], box, *dirs)
-                footprints.append((rows, cols))
-    return shell, depth, footprints
+    cl = pixel_center_trig(grid)[0][:, 0]
+    plane = parts.t_plane[:, 0] < parts.wall.min() / cl * (1.0 - 1e-6)
+    (walls,) = np.nonzero(~plane)
+    return slice(walls[0], walls[-1] + 1) if walls.size else slice(0, 0)
+
+
+def shell_band(parts: ShellParts, walls: slice, grid, rows: slice, out):
+    """Radial distance to the room shell at the pixel centres of ``rows``,
+    written to ``out`` (one row per grid row of ``rows``).
+
+    Outside ``walls`` (``wall_rows``) it is the plane distance. Inside, it
+    is the nearer of the plane and the wall distance num / (ex*dy - ey*dx)
+    with the ray direction (dx, dy) = cl * (cos_lon, sin_lon), rounded in
+    the same order as a per-pixel direction so every depth keeps its exact
+    bits.
+    """
+    a = min(max(walls.start, rows.start), rows.stop)
+    d = min(max(walls.stop, a), rows.stop)
+    t_plane = parts.t_plane
+    out[: a - rows.start] = t_plane[rows.start : a]
+    out[d - rows.start :] = t_plane[d : rows.stop]
+    if a < d:
+        cl, _, cos_lon, sin_lon = pixel_center_trig(grid)
+        det = np.multiply(cl[a:d], sin_lon, out=out[a - rows.start : d - rows.start])
+        det *= parts.ex
+        ey_dx = np.multiply(cl[a:d], cos_lon)
+        ey_dx *= parts.ey
+        det -= ey_dx
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(parts.num, det, out=det)
+        det[:, parts.wall == np.inf] = np.inf
+        np.minimum(det, t_plane[a:d], out=det)
+    return out
 
 
 def polygon_boundary_distance(edges, x, y):

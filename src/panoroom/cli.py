@@ -51,15 +51,17 @@ def _cmd_synth(args) -> int:
         scene = synth.generate_scene(scene_seed, config)
         scene_dir = os.path.join(args.out_dir, f"scene_{i:03d}")
         os.makedirs(scene_dir, exist_ok=True)
-        gt, bg, mask = synth.render_scene(scene, grid)
         layout = room_to_layout(scene.room, grid)
         formats.write_json(formats.scene_to_dict(scene), os.path.join(scene_dir, "scene.json"))
-        formats.write_pfm(gt.values, os.path.join(scene_dir, "gt.pfm"))
-        formats.write_pfm(bg.values, os.path.join(scene_dir, "bg_gt.pfm"))
+        # the three maps are rendered and written a row band at a time
+        formats._write_pfms(
+            [os.path.join(scene_dir, n) for n in ("gt.pfm", "bg_gt.pfm", "segmask.pfm")],
+            grid.shape,
+            ((rows, maps) for rows, *maps in synth._render_bands(scene, grid, scene.boxes)),
+        )
         formats.write_json(
             formats.layout_to_dict(layout, grid), os.path.join(scene_dir, "layout.json")
         )
-        formats.write_pfm(mask.values, os.path.join(scene_dir, "segmask.pfm"))
     return 0
 
 

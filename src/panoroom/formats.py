@@ -16,6 +16,7 @@ import os
 import re
 import stat
 from collections.abc import Iterable
+from contextlib import ExitStack, contextmanager
 
 import numpy as np
 
@@ -33,25 +34,90 @@ from .layout import LayoutMap, ManhattanRoom
 from .synth import SceneSpec
 
 
+_O_BINARY = getattr(os, "O_BINARY", 0)
+
+
+@contextmanager
+def _atomic_files(paths):
+    """Open a temp file beside each of ``paths`` for binary writing.
+
+    When the block completes, each temp file replaces its path; if the
+    block raises, every temp file is removed and each path keeps whatever
+    it held before. The temp files are created with mode 0666 less the
+    umask, as ``open()`` creates a file.
+    """
+    tmps = []
+    try:
+        with ExitStack() as stack:
+            files = []
+            for path in paths:
+                tmp = os.path.join(os.path.dirname(os.path.abspath(path)), os.urandom(8).hex())
+                tmp += ".tmp"
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | _O_BINARY, 0o666)
+                tmps.append(tmp)
+                files.append(stack.enter_context(os.fdopen(fd, "wb")))
+            yield files
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        raise
+
+
 def _atomic_write(path: str, chunks: Iterable) -> None:
     """Write the concatenated ``chunks`` (bytes-like, e.g. C-contiguous
-    arrays) to ``path`` via a temp file + rename.
+    arrays) to ``path`` via a temp file + rename (``_atomic_files``)."""
+    with _atomic_files([path]) as (f,):
+        for chunk in chunks:
+            f.write(chunk)
 
-    The temp file is created with mode 0666 less the umask, as ``open()``
-    creates a file. If writing or producing a chunk fails, the temp file is
-    removed and ``path`` keeps whatever it held before.
+
+# Payload bytes converted and written per step and file: 64 rows at
+# W = 1024. Writing a 2 MiB map in 16-row pieces cost ~0.7 ms more than
+# one write; 64 to 128 rows were within noise of one write (2-CPU x86).
+PFM_CHUNK_BYTES = 1 << 18
+
+
+def _write_pfms(paths, shape, bands) -> None:
+    """Write maps of ``shape`` (H, W) as little-endian grayscale PFMs, one
+    per path, from ``bands``: ``(rows, arrays)`` pairs, one array per path
+    holding the map's rows ``rows``, in row order from the top.
+
+    PFM rows run bottom to top, so rows are gathered into fixed chunks of
+    ~``PFM_CHUNK_BYTES``, converted to float32 there in file order, and each
+    full chunk is written at its place in the payload. Every file replaces
+    its path only after the last band; a band that raises, or a failed
+    write, leaves every path as it was. A finite value beyond the float32
+    range is ``ValueRangeError``; inf and NaN are kept.
     """
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), os.urandom(8).hex() + ".tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
-    try:
-        with os.fdopen(fd, "wb") as f:
-            for chunk in chunks:
-                f.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    h, w = shape
+    header = f"Pf\n{w} {h}\n-1.0\n".encode("ascii")
+    step = max(1, PFM_CHUNK_BYTES // max(1, 4 * w))
+    chunk = np.empty((len(paths), min(step, h), w), dtype="<f4")
+    with _atomic_files(paths) as files:
+        for f in files:
+            f.write(header)
+        done = 0  # rows converted so far
+        for rows, arrays in bands:
+            while done < rows.stop:
+                # the chunk of rows [c0, c1) holds them bottom-up, as the file
+                c0 = done - done % step
+                c1 = min(c0 + step, h)
+                r1 = min(rows.stop, c1)
+                for out, arr in zip(chunk, arrays):
+                    piece = arr[done - rows.start : r1 - rows.start]
+                    try:
+                        with np.errstate(over="raise"):
+                            np.copyto(out[c1 - r1 : c1 - done], piece[::-1])
+                    except FloatingPointError:
+                        raise ValueRangeError("value beyond the float32 range of a PFM") from None
+                done = r1
+                if done == c1:
+                    for f, out in zip(files, chunk):
+                        f.seek(len(header) + (h - c1) * w * 4)
+                        f.write(out[: c1 - c0])
 
 
 def write_pfm(values: np.ndarray, path: str) -> None:
@@ -59,17 +125,7 @@ def write_pfm(values: np.ndarray, path: str) -> None:
     arr = np.asarray(values)
     if arr.ndim != 2:
         raise ShapeMismatchError(f"PFM writer expects a 2D map, got {arr.ndim} dimensions")
-    h, w = arr.shape
-    header = f"Pf\n{w} {h}\n-1.0\n".encode("ascii")
-    # the only copy; order="C" because a transposed input would convert to
-    # Fortran order, whose buffer the file write rejects. A finite value
-    # beyond the float32 range overflows; inf and NaN cast as they are.
-    try:
-        with np.errstate(over="raise"):
-            payload = np.flipud(arr).astype("<f4", order="C")
-    except FloatingPointError:
-        raise ValueRangeError("value beyond the float32 range of a PFM") from None
-    _atomic_write(path, (header, payload))
+    _write_pfms([path], arr.shape, [(slice(0, arr.shape[0]), (arr,))])
 
 
 # far above any legitimate magic, dimension or scale token
@@ -139,8 +195,49 @@ def read_pfm(path: str) -> np.ndarray:
 # --- JSON formats -----------------------------------------------------------
 
 
+def _json_key(key) -> str:
+    """A dict key as ``json.dumps`` writes it: a str as it is, a number,
+    bool or None as its JSON text, then quoted."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = json.dumps(key)
+    return json.dumps(key)
+
+
+def _json_text(obj, indent: str) -> str:
+    """``json.dumps(obj, indent=2)`` for a value nested ``indent`` deep.
+
+    ``indent`` set, ``json`` runs its pure-Python encoder. Here lists and
+    dicts recurse and every other value is ``json.dumps`` of it alone,
+    which takes the C encoder. A flat list of finite floats is one join of
+    ``float.__repr__``, the text ``json`` writes for each.
+    """
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        try:
+            body = sep.join(map(float.__repr__, obj))
+        except TypeError:  # an item that is not a float
+            body = None
+        # nan and inf are the only float reprs with an "n"; json writes
+        # them as NaN and Infinity
+        if body is None or "n" in body:
+            body = sep.join(_json_text(v, inner) for v in obj)
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = sep.join(f"{_json_key(k)}: {_json_text(v, inner)}" for k, v in obj.items())
+        return f"{{\n{inner}{body}\n{indent}}}"
+    return json.dumps(obj)
+
+
 def write_json(obj, path: str) -> None:
-    _atomic_write(path, ((json.dumps(obj, indent=2) + "\n").encode("ascii"),))
+    """Write ``obj`` as ``json.dumps(obj, indent=2)`` and a newline."""
+    _atomic_write(path, ((_json_text(obj, "") + "\n").encode("ascii"),))
 
 
 def layout_to_dict(layout: LayoutMap, grid: GridSpec) -> dict:

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .bgdepth import DepthMap
-from .equirect import GridSpec
+from . import _kernels, bgdepth
+from .bgdepth import DepthMap, _row_bands
+from .equirect import GridSpec, pixel_center_trig
 from .errors import PlacementError, ValueRangeError
 from .fusion import SegMap
 from .layout import ManhattanRoom, _segments_intersect, polygon_edges
@@ -179,24 +179,78 @@ def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneSpec:
     return SceneSpec(room=room, boxes=np.array(boxes, dtype=np.float64).reshape(-1, 6), seed=int(seed))
 
 
-def _render(scene: SceneSpec, grid: GridSpec, boxes):
-    """One shell pass: ``_kernels.raycast``'s (shell, depth, footprints)."""
+def _box_entries(box, grid: GridSpec):
+    """Each part of ``box``'s footprint as ``(rows, cols, t)``: ``t`` holds
+    the entry distance of every pixel-centre ray in it, inf where the ray
+    misses the box. It is computed in pieces of at most
+    ``bgdepth._BAND_VALUES`` values, so its temporaries stay band-sized."""
+    rows, col_slices = _kernels._box_footprint(box, grid)
+    cl, dz, cos_lon, sin_lon = pixel_center_trig(grid)
+    parts = []
+    for cols in col_slices:
+        c, s = cos_lon[cols], sin_lon[cols]
+        t = np.empty((rows.stop - rows.start, c.size))
+        step = max(1, bgdepth._BAND_VALUES // c.size)
+        for r0 in range(rows.start, rows.stop, step):
+            r = slice(r0, min(r0 + step, rows.stop))
+            piece = t[r0 - rows.start : r.stop - rows.start]
+            _kernels._slab_entry(box, cl[r], c, s, dz[r], out=piece)
+        parts.append((rows, cols, t))
+    return parts
+
+
+def _render_bands(scene: SceneSpec, grid: GridSpec, boxes, eps: float = 1e-6):
+    """Render ``scene`` one row band (``bgdepth._row_bands``) at a time.
+
+    Yields ``(rows, depth, shell, mask)`` per band, top to bottom: the
+    depth with ``boxes`` in front of the room shell, the shell alone, and
+    1 where the two agree within ``eps``. Where no box reaches a band,
+    ``depth`` is ``shell`` itself and the mask is all ones. The arrays are
+    reused from band to band, so a caller copies what it keeps before
+    asking for the next band. A non-finite shell raises ``ValueRangeError``
+    in the band that holds it.
+    """
     room = scene.room
-    shell, depth, footprints = _kernels.raycast(
-        room.edges, room.cam_to_floor, room.cam_to_ceil, boxes, grid
-    )
-    # A box entry lies in (0, shell), so only the shell can hold inf or NaN;
-    # shell distances are positive by construction.
-    if not np.isfinite(shell).all():
-        raise ValueRangeError("depth values must be finite")
-    return shell, depth, footprints
+    parts = _kernels.shell_parts(room.edges, room.cam_to_floor, room.cam_to_ceil, grid)
+    walls = _kernels.wall_rows(parts, grid)
+    entries = [part for box in boxes for part in _box_entries(box, grid)]
+    bands = list(_row_bands(grid))
+    shell_buf, depth_buf, mask_buf = np.empty((3, bands[0].stop, grid.width))
+    for rows in bands:
+        n = rows.stop - rows.start
+        shell = _kernels.shell_band(parts, walls, grid, rows, shell_buf[:n])
+        # A box entry lies in (0, shell), so only the shell can hold inf or
+        # NaN; shell distances are positive by construction.
+        if not np.isfinite(shell).all():
+            raise ValueRangeError("depth values must be finite")
+        mask = mask_buf[:n]
+        mask.fill(1.0)
+        hits = []
+        for r, cols, t in entries:
+            a, b = max(r.start, rows.start), min(r.stop, rows.stop)
+            if a < b:
+                if not hits:
+                    depth = depth_buf[:n]
+                    np.copyto(depth, shell)
+                hit = (slice(a - rows.start, b - rows.start), cols)
+                # the minimum a per-ray slab test takes, so the bits match
+                np.minimum(depth[hit], t[a - r.start : b - r.start], out=depth[hit])
+                hits.append(hit)
+        if not hits:
+            depth = shell
+        # the two renders hold the same bits outside the box footprints
+        for hit in hits:
+            mask[hit] = np.abs(depth[hit] - shell[hit]) <= eps
+        yield rows, depth, shell, mask
 
 
 def raycast_depth(scene: SceneSpec, grid: GridSpec, include_foreground: bool = True) -> DepthMap:
     """Exact radial distance to the first surface hit at every pixel center."""
     boxes = scene.boxes if include_foreground else ()
-    _, depth, _ = _render(scene, grid, boxes)
-    return DepthMap._own(grid, depth)
+    out = np.empty(grid.shape)
+    for rows, depth, _, _ in _render_bands(scene, grid, boxes):
+        out[rows] = depth
+    return DepthMap._own(grid, out)
 
 
 def render_scene(
@@ -211,10 +265,13 @@ def render_scene(
     # the footprint-only mask holds only for eps >= 0
     if not eps >= 0:
         raise ValueRangeError(f"eps must be >= 0, got {eps}")
-    shell, depth, footprints = _render(scene, grid, scene.boxes)
-    mask = np.ones(grid.shape)
-    for rows, cols in footprints:
-        mask[rows, cols] = np.abs(depth[rows, cols] - shell[rows, cols]) <= eps
+    depth, mask = np.empty(grid.shape), np.empty(grid.shape)
+    # without boxes both renders are one map
+    shell = np.empty(grid.shape) if len(scene.boxes) else depth
+    for rows, d, s, m in _render_bands(scene, grid, scene.boxes, eps):
+        depth[rows] = d
+        shell[rows] = s
+        mask[rows] = m
     return DepthMap._own(grid, depth), DepthMap._own(grid, shell), SegMap._own(grid, mask)
 
 

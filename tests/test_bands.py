@@ -1,8 +1,8 @@
 """Banded stages against their whole-grid references, at band edges.
 
 ``fuse_depth``, ``derive_seg_labels``, ``eval_metrics``, denoise's shell
-bound and the PLY writer walk the grid in row bands from
-``bgdepth._row_bands``. Whatever the band height, each must give the bits
+bound, the PLY writer and ``synth``'s render and PFM writer walk the grid
+in row bands from ``bgdepth._row_bands``. Whatever the band height, each must give the bits
 of its whole-grid formula: one band per grid, one-row bands, and bands
 that leave a short last band, on grids whose height no band divides.
 """
@@ -18,6 +18,7 @@ from panoroom import (
     NoiseSpec,
     SegMap,
     bgdepth,
+    cli,
     corrupt_depth,
     denoise,
     denoise_depth,
@@ -204,6 +205,31 @@ def test_background_matches_nested_where_at_boundary_rows(height):
             got = resolve_background_depth(layout, heights, grid, mode).values
             want = nested_where_background(layout, heights, grid, mode)
             assert got.tobytes() == want.tobytes(), mode
+
+
+def synth_maps(tmp_path, name, height):
+    out = tmp_path / name
+    argv = ["synth", "--seed", "12", "--count", "1", "--plan", "lshape", "--out-dir", str(out),
+            "--height", str(height), "--boxes", "2", "4"]
+    assert cli.main(argv) == 0
+    return {n: (out / "scene_000" / n).read_bytes() for n in ("gt.pfm", "bg_gt.pfm", "segmask.pfm")}
+
+
+@pytest.mark.parametrize("height", HEIGHTS)
+@pytest.mark.parametrize("rows", BAND_ROWS)
+@pytest.mark.parametrize("chunk_rows", [1, 7], ids=["chunk1", "chunk7"])
+def test_synth_maps_match_one_band_and_one_chunk(monkeypatch, tmp_path, height, rows, chunk_rows):
+    """The render's bands and the PFM writer's chunks, each of any height,
+    give the bytes of one band and one chunk over the whole grid."""
+    grid = GridSpec(width=2 * height, height=height)
+    default = bgdepth._BAND_VALUES
+    monkeypatch.setattr(bgdepth, "_BAND_VALUES", height * grid.width)
+    monkeypatch.setattr(formats, "PFM_CHUNK_BYTES", height * grid.width * 4)
+    want = synth_maps(tmp_path, "whole", height)
+    monkeypatch.setattr(bgdepth, "_BAND_VALUES", default)
+    set_band_rows(monkeypatch, grid, rows)
+    monkeypatch.setattr(formats, "PFM_CHUNK_BYTES", chunk_rows * grid.width * 4)
+    assert synth_maps(tmp_path, "banded", height) == want
 
 
 # --- a non-finite value in a middle band ------------------------------------

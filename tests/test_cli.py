@@ -1,9 +1,11 @@
+import errno
 import json
 import os
 import resource
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -414,3 +416,104 @@ def test_loaded_maps_are_read_only_float64(tmp_path):
         assert loaded.grid.shape == (4, 8)
         assert loaded.values.dtype == np.float64 and not loaded.values.flags.writeable
         assert np.array_equal(loaded.values, values)
+
+
+# --- synth renders and writes its three maps band by band --------------------
+
+MAPS = ("gt.pfm", "bg_gt.pfm", "segmask.pfm")
+
+
+def synth_argv(out_dir, seed):
+    # 512 x 256: 32-row render bands, and each map written in two 128-row chunks
+    return ["synth", "--seed", seed, "--count", 1, "--out-dir", out_dir, "--height", 256,
+            "--boxes", 2, 4]
+
+
+def maps_of(scene_dir):
+    return {n: (scene_dir / n).read_bytes() for n in MAPS}
+
+
+def test_non_finite_shell_mid_stream_leaves_every_map(tmp_path, capsys, monkeypatch):
+    assert run(synth_argv(tmp_path, 5)) == 0
+    scene_dir = tmp_path / "scene_000"
+    before = maps_of(scene_dir)
+    real = synth._kernels.shell_band
+
+    def leaky(parts, walls, grid, rows, out):
+        shell = real(parts, walls, grid, rows, out)
+        # row 200 renders after rows 0-127, the first chunk of every file, are written
+        if rows.start <= 200 < rows.stop:
+            shell[200 - rows.start, 7] = np.nan
+        return shell
+
+    monkeypatch.setattr(synth._kernels, "shell_band", leaky)
+    rc = run(synth_argv(tmp_path, 6))
+    assert_one_error_line(capsys, rc, "value-range")
+    assert maps_of(scene_dir) == before
+    assert not list(scene_dir.glob("*.tmp"))
+
+
+class FullDisk:
+    """A binary file that takes ``writes`` writes, then fails the next with
+    ENOSPC, as a disk that has just filled up."""
+
+    def __init__(self, f, writes):
+        self.f = f
+        self.writes = writes
+
+    def write(self, data):
+        if self.writes == 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.writes -= 1
+        return self.f.write(data)
+
+    def seek(self, offset):
+        return self.f.seek(offset)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+@pytest.mark.parametrize("failing", MAPS)
+def test_failed_band_write_leaves_every_map(tmp_path, capsys, monkeypatch, failing):
+    assert run(synth_argv(tmp_path, 5)) == 0
+    scene_dir = tmp_path / "scene_000"
+    before = maps_of(scene_dir)
+    real = os.fdopen
+    opened = []
+
+    def fdopen(fd, mode):
+        opened.append(real(fd, mode))
+        # scene.json is opened first, then the maps in MAPS order. The failing
+        # map takes its header and first chunk, and the disk fills on its
+        # last chunk, after every other map has written its first.
+        if len(opened) == 2 + MAPS.index(failing):
+            return FullDisk(opened[-1], writes=2)
+        return opened[-1]
+
+    monkeypatch.setattr(os, "fdopen", fdopen)
+    rc = run(synth_argv(tmp_path, 6))
+    assert_one_error_line(capsys, rc, "io")
+    assert maps_of(scene_dir) == before
+    assert not list(scene_dir.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("plan", ["rect", "lshape"])
+def test_synth_scene_peaks_below_one_map(tmp_path, plan):
+    """A 1024 x 512 scene with 4 boxes is rendered and written without a
+    whole-grid map: in a warm process its traced allocations peak below
+    one float64 map of the grid (4 MiB)."""
+    argv = ["synth", "--seed", 0, "--count", 1, "--plan", plan, "--out-dir", tmp_path,
+            "--height", 512, "--boxes", 4, 4]
+    assert run(argv) == 0
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(json.loads((tmp_path / "scene_000" / "scene.json").read_text())["boxes"]) == 4
+    assert peak < 512 * 1024 * 8

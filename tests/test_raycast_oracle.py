@@ -17,10 +17,13 @@ from panoroom import (
     ManhattanRoom,
     SceneConfig,
     SceneSpec,
+    _kernels,
+    bgdepth,
     generate_scene,
     raycast_depth,
     render_scene,
 )
+from panoroom.equirect import pixel_center_trig
 
 from conftest import mixed_scenes, pixel_center_dirs
 
@@ -157,11 +160,74 @@ def rebuilt_shell(room, grid):
     return np.minimum(wall, plane)
 
 
-@pytest.mark.parametrize("height", [32, 33, 64])
+def star_rooms(n, seed):
+    """n floor plans star-shaped around the origin, with 4 to 11 vertices at
+    random azimuths and radii, so that no edge follows an axis."""
+    rng = np.random.default_rng(seed)
+    rooms = []
+    while len(rooms) < n:
+        k = int(rng.integers(4, 12))
+        az = np.sort(rng.uniform(-np.pi, np.pi, k))
+        # a gap of pi or more between azimuths would leave the origin outside
+        if np.diff(np.append(az, az[0] + 2.0 * np.pi)).max() >= np.pi:
+            continue
+        r = rng.uniform(1.0, 8.0, k)
+        verts = np.stack([r * np.cos(az), r * np.sin(az)], axis=1)
+        rooms.append(ManhattanRoom(verts, rng.uniform(0.5, 2.5), rng.uniform(0.3, 2.0)))
+    return rooms
+
+
+def shell_render(room, grid):
+    return raycast_depth(SceneSpec(room=room, boxes=np.empty((0, 6)), seed=0), grid, False).values
+
+
+@pytest.mark.parametrize("height", [32, 33, 64, 256, 512])
 def test_shell_is_bit_identical_to_a_per_pixel_rebuild(height):
     """The ray-cast shares the package's pixel-centre directions, so its
-    shell keeps the exact bits of a per-pixel ray cast along them."""
+    shell keeps the exact bits of a per-pixel ray cast along them: on the
+    rows it divides by the walls, and on the rows it takes from the floor
+    or ceiling plane alone. The star-shaped plans have no axis-aligned
+    edge, so their wall distances round least like the per-column ones."""
     grid = GridSpec(width=2 * height, height=height)
-    for scene in mixed_scenes(6):
-        got = raycast_depth(scene, grid, include_foreground=False).values
-        assert np.array_equal(got, rebuilt_shell(scene.room, grid))
+    rooms = [scene.room for scene in mixed_scenes(6)] + star_rooms(6, seed=height)
+    for room in rooms:
+        assert np.array_equal(shell_render(room, grid), rebuilt_shell(room, grid))
+
+
+@pytest.mark.parametrize("height", [64, 256])
+def test_shell_keeps_its_bits_where_the_floor_meets_the_nearest_wall(height):
+    """Camera heights that put the floor at the nearest wall's distance on
+    one row, to within a few ulps either way: on that row the plane is not
+    clearly nearer, so the ray-cast must divide by the walls there."""
+    grid = GridSpec(width=2 * height, height=height)
+    cos_lat, sin_lat, _, _ = pixel_center_trig(grid)
+    for scene in mixed_scenes(4):
+        room = scene.room
+        parts = _kernels.shell_parts(room.edges, room.cam_to_floor, room.cam_to_ceil, grid)
+        for row in range(height // 2 + 2, height - 2, height // 6):
+            tie = parts.wall.min() * -sin_lat[row, 0] / cos_lat[row, 0]
+            for ulps in range(-3, 4):
+                down = float(tie) * (1.0 + ulps * 2.0**-52)
+                tied = ManhattanRoom(room.vertices, cam_to_floor=down, cam_to_ceil=room.cam_to_ceil)
+                assert np.array_equal(shell_render(tied, grid), rebuilt_shell(tied, grid))
+
+
+def test_box_across_band_edges_and_the_seam_matches_brute_force():
+    """A box close behind the camera, across the lon = +-pi seam, whose
+    footprint spans several row bands and is computed in more than one
+    piece, against the brute-force ray caster at H = 256."""
+    grid = GridSpec(width=512, height=256)
+    box = (-2.8, -0.5, -1.5, -0.3, 0.6, 1.0)
+    rows, col_slices = _kernels._box_footprint(box, grid)
+    band = next(bgdepth._row_bands(grid)).stop
+    assert len(col_slices) == 2
+    for cols in col_slices:
+        assert rows.stop - rows.start > bgdepth._BAND_VALUES // (cols.stop - cols.start)
+    scene = SceneSpec(room=_room(), boxes=np.array([box]), seed=0)
+    fg, bg = assert_matches_brute_force(scene, grid)
+    seen = fg < bg
+    assert seen[:, 0].any() and seen[:, -1].any()
+    (seen_rows,) = np.nonzero(seen.any(axis=1))
+    assert seen_rows[-1] // band - seen_rows[0] // band >= 3
+    got_fg, got_bg, mask = render_scene(scene, grid, 0.0)
+    assert np.array_equal(mask.values == 0.0, got_fg.values < got_bg.values)

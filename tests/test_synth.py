@@ -264,14 +264,15 @@ def test_render_scene_without_boxes_shares_one_map():
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
 def test_non_finite_shell_is_value_range(monkeypatch, bad):
-    real = synth._kernels.raycast
+    real = synth._kernels.shell_band
 
-    def leaky(*args):
-        shell, depth, footprints = real(*args)
-        shell[5, 7] = bad
-        return shell, depth, footprints
+    def leaky(parts, walls, grid, rows, out):
+        shell = real(parts, walls, grid, rows, out)
+        if rows.start <= 5 < rows.stop:
+            shell[5 - rows.start, 7] = bad
+        return shell
 
-    monkeypatch.setattr(synth._kernels, "raycast", leaky)
+    monkeypatch.setattr(synth._kernels, "shell_band", leaky)
     scene = make_scene(17, boxes=(2, 4))
     for render in (render_scene, raycast_depth, gt_background_mask):
         with pytest.raises(ValueRangeError, match="depth values must be finite"):

@@ -1,9 +1,10 @@
 """Recorded sha256 digests of the five files ``panoroom synth`` writes.
 
-The other tests compare two runs of one commit; these digests were taken
+The other tests compare two runs of one commit; these digests catch any
+drift of the output bytes across commits. The H <= 33 entries were taken
 from the two-render ``synth`` (one ray-cast with and one without boxes, the
-mask over the full grid, the copying PFM writer) and catch any drift of the
-output bytes across commits.
+mask over the full grid, the copying PFM writer), the H = 512 ones from the
+one-pass whole-grid render.
 """
 
 import hashlib
@@ -45,6 +46,22 @@ GOLDEN = {
         "89812d635136c12665602420763ef9fe906fa414027d1aa7b7f646235f5a30db",
         "053bfc75a1b029c2df3b2a154abfc3e3dc192a26b8ac9c63e3ea032d98db6ff3",
         "0110b9f48017d736c4a74cc17135949ce9a7e5db15605e05416167af94b32e96",
+    )),
+    # Taller grids render in several row bands, so these pin the band edges;
+    # each scene holds a box across the lon = +-pi seam.
+    (512, "rect", (2, 4), 9): (4, (
+        "0932f791a03641cb7653765651838da970925f6145e1c06cebfd45a146e57b4b",
+        "4a2be63bfbf632d3fd51a274abd5b15c28fc27bec20148413b970718f3c48380",
+        "972c41591d388f89a7179b17d7da21573fd75c678403c1f1560f8a974ccac77d",
+        "a997e43a60b5f7d653767a7277ecc596d9186ee726253ad6da8780f1ba475544",
+        "16c96b7eaa4d34e52bbb5a7c900dbf5df1744b4ac388bfd90174ae6000c625fd",
+    )),
+    (512, "lshape", (2, 4), 10): (4, (
+        "e979ef72447bd6a6a7578e59bd2526935e2ae8c3d77b8de6594d2fe6f04d329b",
+        "8de41f9d86518e7c1dd471424f65e716f4c49567bd7b2839649fe26b61c9d8ee",
+        "2e55d57df86cb98234cb9e68dafea97d0d51a442fd99c094ee28f1e7af0bfc30",
+        "63f78f8125ff80392b50f9999e113183ea054deab46641b10c01a732e28f6b53",
+        "0c769b567d335159f9a268df771241da9dcd8fc36d685b0b0dea289a8153d187",
     )),
 }
 
