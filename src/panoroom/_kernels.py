@@ -108,34 +108,43 @@ def _box_footprint(box, grid):
     return rows, _column_slices(az[0] + rel.min(), az[0] + rel.max(), grid)
 
 
-def _slab_entry(box, cl, cos_lon, sin_lon, dz, out):
-    """Entry distance into ``box`` of the rays (cl*cos_lon, cl*sin_lon, dz),
-    rows by columns, written to ``out``; inf where a ray misses the box.
+def _slab_planes(box, cl, cos_lon, sin_lon, dz):
+    """The parts of ``box``'s slab test (``_slab_entry``) that a row or a
+    column shares, for the rays of the rows of ``cl``, ``dz`` and the
+    columns of ``cos_lon``, ``sin_lon``: those four, then per column the
+    near and far x and y planes, which the sign of the direction component
+    picks, and per row the z slab's entry and exit distances.
 
-    Each axis's near and far planes follow from the sign of its direction
-    component. On pixel-centre rays cl > 0 and no column has cos_lon or
-    sin_lon exactly 0, so only dz can vanish (the horizon row of an
-    odd-height grid): there the z slab holds the whole ray or none of it.
-    The quotients are those of a per-ray slab test, so every entry
-    distance keeps its bits.
+    On pixel-centre rays cl > 0 and no column has cos_lon or sin_lon
+    exactly 0, so only dz can vanish (the horizon row of an odd-height
+    grid): there the z slab holds the whole ray or none of it.
     """
     x0, y0, z0, x1, y1, z1 = box
-    d = np.multiply(cl, cos_lon)
-    ahead = cos_lon > 0.0
-    np.divide(np.where(ahead, x0, x1), d, out=out)
-    far = np.divide(np.where(ahead, x1, x0), d)
-    np.multiply(cl, sin_lon, out=d)
-    ahead = sin_lon > 0.0
-    np.maximum(out, np.divide(np.where(ahead, y0, y1), d), out=out)
-    np.minimum(far, np.divide(np.where(ahead, y1, y0), d, out=d), out=far)
-    ahead = dz > 0.0
+    ax, ay, az = cos_lon > 0.0, sin_lon > 0.0, dz > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        z_near = np.where(ahead, z0, z1) / dz
-        z_far = np.where(ahead, z1, z0) / dz
+        z_near = np.where(az, z0, z1) / dz
+        z_far = np.where(az, z1, z0) / dz
     flat = dz == 0.0
     z_near[flat], z_far[flat] = (-np.inf, np.inf) if z0 <= 0.0 <= z1 else (np.inf, -np.inf)
-    np.maximum(out, z_near, out=out)
-    np.minimum(far, z_far, out=far)
+    x_planes = np.where(ax, x0, x1), np.where(ax, x1, x0)
+    y_planes = np.where(ay, y0, y1), np.where(ay, y1, y0)
+    return cl, cos_lon, sin_lon, *x_planes, *y_planes, z_near, z_far
+
+
+def _slab_entry(planes, rows: slice, out):
+    """Entry distance into a box of the rays (cl*cos_lon, cl*sin_lon, dz)
+    of ``rows`` of its ``_slab_planes``, rows by columns, written to
+    ``out``; inf where a ray misses the box. The quotients are those of a
+    per-ray slab test, so every entry distance keeps its bits."""
+    cl, cos_lon, sin_lon, x_near, x_far, y_near, y_far, z_near, z_far = planes
+    d = np.multiply(cl[rows], cos_lon)
+    np.divide(x_near, d, out=out)
+    far = np.divide(x_far, d)
+    np.multiply(cl[rows], sin_lon, out=d)
+    np.maximum(out, np.divide(y_near, d), out=out)
+    np.minimum(far, np.divide(y_far, d, out=d), out=far)
+    np.maximum(out, z_near[rows], out=out)
+    np.minimum(far, z_far[rows], out=far)
     np.copyto(out, np.inf, where=(out > far) | (out <= 0.0))
     return out
 

@@ -208,11 +208,17 @@ def test_background_matches_nested_where_at_boundary_rows(height):
 
 
 def synth_maps(tmp_path, name, height):
-    out = tmp_path / name
-    argv = ["synth", "--seed", "12", "--count", "1", "--plan", "lshape", "--out-dir", str(out),
-            "--height", str(height), "--boxes", "2", "4"]
-    assert cli.main(argv) == 0
-    return {n: (out / "scene_000" / n).read_bytes() for n in ("gt.pfm", "bg_gt.pfm", "segmask.pfm")}
+    """The maps of two scenes: a few boxes, and 40 boxes whose footprints
+    overlap inside a band and cross band edges."""
+    maps = {}
+    for boxes in ("2", "4"), ("40", "40"):
+        out = tmp_path / name / boxes[0]
+        argv = ["synth", "--seed", "12", "--count", "1", "--plan", "lshape", "--out-dir", str(out),
+                "--height", str(height), "--boxes", *boxes]
+        assert cli.main(argv) == 0
+        for n in ("gt.pfm", "bg_gt.pfm", "segmask.pfm"):
+            maps[boxes, n] = (out / "scene_000" / n).read_bytes()
+    return maps
 
 
 @pytest.mark.parametrize("height", HEIGHTS)

@@ -501,13 +501,16 @@ def test_failed_band_write_leaves_every_map(tmp_path, capsys, monkeypatch, faili
     assert not list(scene_dir.glob("*.tmp"))
 
 
-@pytest.mark.parametrize("plan", ["rect", "lshape"])
-def test_synth_scene_peaks_below_one_map(tmp_path, plan):
-    """A 1024 x 512 scene with 4 boxes is rendered and written without a
-    whole-grid map: in a warm process its traced allocations peak below
-    one float64 map of the grid (4 MiB)."""
+@pytest.mark.parametrize(
+    "plan, boxes", [("rect", 4), ("lshape", 4), ("rect", 200)], ids=["rect", "lshape", "rect-200"]
+)
+def test_synth_scene_peaks_below_one_map(tmp_path, plan, boxes):
+    """A 1024 x 512 scene with 4 or 200 boxes is rendered and written
+    without a whole-grid map: in a warm process its traced allocations peak
+    below one float64 map of the grid (4 MiB), however much of the sphere
+    the boxes cover."""
     argv = ["synth", "--seed", 0, "--count", 1, "--plan", plan, "--out-dir", tmp_path,
-            "--height", 512, "--boxes", 4, 4]
+            "--height", 512, "--boxes", boxes, boxes]
     assert run(argv) == 0
     tracemalloc.start()
     try:
@@ -515,5 +518,5 @@ def test_synth_scene_peaks_below_one_map(tmp_path, plan):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(json.loads((tmp_path / "scene_000" / "scene.json").read_text())["boxes"]) == 4
+    assert len(json.loads((tmp_path / "scene_000" / "scene.json").read_text())["boxes"]) == boxes
     assert peak < 512 * 1024 * 8

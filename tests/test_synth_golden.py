@@ -4,7 +4,8 @@ The other tests compare two runs of one commit; these digests catch any
 drift of the output bytes across commits. The H <= 33 entries were taken
 from the two-render ``synth`` (one ray-cast with and one without boxes, the
 mask over the full grid, the copying PFM writer), the H = 512 ones from the
-one-pass whole-grid render.
+one-pass whole-grid render, and the many-box ones from the band render that
+held each box's entry distances over its whole footprint.
 """
 
 import hashlib
@@ -62,6 +63,29 @@ GOLDEN = {
         "2e55d57df86cb98234cb9e68dafea97d0d51a442fd99c094ee28f1e7af0bfc30",
         "63f78f8125ff80392b50f9999e113183ea054deab46641b10c01a732e28f6b53",
         "0c769b567d335159f9a268df771241da9dcd8fc36d685b0b0dea289a8153d187",
+    )),
+    # Many boxes whose footprints overlap inside a band, and at H >= 257 cross
+    # band edges; each scene holds boxes across the lon = +-pi seam.
+    (64, "rect", (40, 40), 15): (40, (
+        "31038df0089308d27a9c7c5e10beee4c3a50863a4969267ba7ed5121daf0dedb",
+        "16ae8555f28989a6576fdbb2c3db34e0341d7eef579536b3ce1796711340a427",
+        "2b5b6c5b9cc5118840da1360dc1994b9a39b99bbd7a9ae159a0cdc560404149c",
+        "9206fd4671f19dd1dee2f581d316bd1c036a80cb62df9ecf9f5a19dcc4d347d8",
+        "ad5222e3c93ff56d4c9833cf603946e79d33b9602ba1c745ad3f55bb186b3464",
+    )),
+    (257, "rect", (200, 200), 15): (200, (
+        "fd1df3e9cd4df2b8075e992e692314cc59e6be71dfd7f54b1a1675425af00396",
+        "4ddd66869ab8dbf75caf8615acc4d694ad928fb9344ec5d76667cb968f079129",
+        "b9326e8d0c0cc8348096a4e3d9050e129b85ccc057944911e6e5cf53ddeae275",
+        "a801ce1828c57930c0a3070a82981142e0045a4a113c1ab35242321ce9ba1fc3",
+        "721075ec02d48288075fd2af2921b51bcdc2cb4d795c2dd9342430a68b3b71e0",
+    )),
+    (512, "lshape", (30, 30), 15): (30, (
+        "32306408b32a1ba56b25e35808688f934b08f66881b9320e3a3c9723190a3ba1",
+        "70b70a7aae91155f4f23f20f477ab84cbf65c67c3ff5864f1fe7ea382020069e",
+        "4791a7d726bb05646349c00abb176e40e395bab2f1be26dd5d091e70f8d5d228",
+        "380b09c5a8f8778948ec8a1e67167db91aac3b106f72bec5b91a12e29298d42f",
+        "27438af8ceb78b88ad1df4617ac2e6eaf3812d8d7077efd1b1073fa55a18ff08",
     )),
 }
 
