@@ -1,4 +1,4 @@
-"""Hot numeric kernels: panorama ray casting, plane depth, shell distance.
+"""Hot numeric kernels: panorama ray casting, plane depth, polygon tests.
 
 All kernels are vectorised numpy and exploit the Manhattan structure of the
 scene instead of testing every pixel against every surface:
@@ -152,16 +152,25 @@ def _slab_entry(planes, rows: slice, out):
 class ShellParts(NamedTuple):
     """What the room shell's depth at a pixel is built from, besides the
     pixel-centre trig: ``t_plane``, the (H, 1) floor/ceiling plane distance
-    per row, and per column the nearest wall, the edge its horizontal ray
+    per row; per column the nearest wall, the edge its horizontal ray
     crosses first, at horizontal distance ``wall`` (inf for a column that
     crosses no edge), with direction (``ex``, ``ey``) and numerator ``num``
-    = ex*ay - ey*ax."""
+    = ex*ay - ey*ax; and ``walls``, the rows ``[a, d)`` on which a wall may
+    be nearer than the floor or ceiling.
+
+    Every row outside ``walls`` has a plane distance below the nearest
+    wall's horizontal distance over cos(lat) by a relative margin of 1e-6,
+    far beyond the rounding of a per-pixel wall distance, so the shell
+    there is the plane distance bit for bit. As in the background depth,
+    those rows are the caps [0, a) and [d, H).
+    """
 
     t_plane: np.ndarray
     wall: np.ndarray
     ex: np.ndarray
     ey: np.ndarray
     num: np.ndarray
+    walls: slice
 
 
 def plane_depth(sin_lat, down, up):
@@ -174,41 +183,30 @@ def plane_depth(sin_lat, down, up):
 
 def shell_parts(edges, cam_down, cam_up, grid) -> ShellParts:
     """The per-row and per-column factors of the room shell's depth."""
-    _, dz, cos_lon, sin_lon = pixel_center_trig(grid)
+    cl, dz, cos_lon, sin_lon = pixel_center_trig(grid)
     wall, k = _first_crossing(edges, cos_lon, sin_lon)
     ax, ay, bx, by = edges[np.maximum(k, 0)].T
     ex = bx - ax
     ey = by - ay
-    return ShellParts(plane_depth(dz, cam_down, cam_up), wall, ex, ey, ex * ay - ey * ax)
+    t_plane = plane_depth(dz, cam_down, cam_up)
+    plane = t_plane[:, 0] < wall.min() / cl[:, 0] * (1.0 - 1e-6)
+    (rows,) = np.nonzero(~plane)
+    walls = slice(rows[0], rows[-1] + 1) if rows.size else slice(0, 0)
+    return ShellParts(t_plane, wall, ex, ey, ex * ay - ey * ax, walls)
 
 
-def wall_rows(parts: ShellParts, grid) -> slice:
-    """Rows ``[a, d)`` on which a wall may be nearer than the floor or ceiling.
-
-    Every other row's plane distance lies below the nearest wall's
-    horizontal distance over cos(lat) by a relative margin of 1e-6, far
-    beyond the rounding of a per-pixel wall distance, so the shell there
-    is the plane distance bit for bit. As in the background depth, those
-    rows are the caps [0, a) and [d, H).
-    """
-    cl = pixel_center_trig(grid)[0][:, 0]
-    plane = parts.t_plane[:, 0] < parts.wall.min() / cl * (1.0 - 1e-6)
-    (walls,) = np.nonzero(~plane)
-    return slice(walls[0], walls[-1] + 1) if walls.size else slice(0, 0)
-
-
-def shell_band(parts: ShellParts, walls: slice, grid, rows: slice, out):
+def shell_band(parts: ShellParts, grid, rows: slice, out):
     """Radial distance to the room shell at the pixel centres of ``rows``,
     written to ``out`` (one row per grid row of ``rows``).
 
-    Outside ``walls`` (``wall_rows``) it is the plane distance. Inside, it
-    is the nearer of the plane and the wall distance num / (ex*dy - ey*dx)
-    with the ray direction (dx, dy) = cl * (cos_lon, sin_lon), rounded in
-    the same order as a per-pixel direction so every depth keeps its exact
+    Outside ``parts.walls`` it is the plane distance. Inside, it is the
+    nearer of the plane and the wall distance num / (ex*dy - ey*dx) with
+    the ray direction (dx, dy) = cl * (cos_lon, sin_lon), rounded in the
+    same order as a per-pixel direction so every depth keeps its exact
     bits.
     """
-    a = min(max(walls.start, rows.start), rows.stop)
-    d = min(max(walls.stop, a), rows.stop)
+    a = min(max(parts.walls.start, rows.start), rows.stop)
+    d = min(max(parts.walls.stop, a), rows.stop)
     t_plane = parts.t_plane
     out[: a - rows.start] = t_plane[rows.start : a]
     out[d - rows.start :] = t_plane[d : rows.stop]
@@ -237,13 +235,3 @@ def polygon_boundary_distance(edges, x, y):
         qy = ay + s * ey - y
         d2 = np.minimum(d2, qx * qx + qy * qy)
     return np.sqrt(d2)
-
-
-def shell_outside_distance(edges, cam_down, cam_up, points):
-    x = points[:, 0]
-    y = points[:, 1]
-    z = points[:, 2]
-    dv = np.maximum(np.maximum(z - cam_up, -cam_down - z), 0.0)
-    inside = _points_in_polygon(edges, x, y)
-    dh = np.where(inside, 0.0, polygon_boundary_distance(edges, x, y))
-    return np.hypot(dh, dv)

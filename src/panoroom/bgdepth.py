@@ -103,15 +103,22 @@ def require_same_grid(*maps) -> GridSpec:
 # --- scalar/array depth formulas (shared by the map renderer and tests) ---
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in RESOLVE_MODES:
+        raise ValueRangeError(f"mode must be one of {RESOLVE_MODES}, got {mode!r}")
+
+
 def cap_depth(lat_mag, height: float, mode: str = "exact"):
     """Radial depth of a horizontal plane (floor or ceiling) ``height`` from
     the camera, at ``lat_mag`` = |lat| towards it from the horizon."""
+    _check_mode(mode)
     sin_lat = np.sin(lat_mag) if mode == "exact" else lat_mag
     return _kernels.plane_depth(sin_lat, height, height)
 
 
 def wall_depth(lat, wall_range, mode: str = "exact"):
     """Radial wall depth at latitude ``lat`` for horizontal range ``wall_range``."""
+    _check_mode(mode)
     if mode == "exact":
         return wall_range / np.cos(lat)
     return wall_range * np.cos(lat)
@@ -220,8 +227,7 @@ def resolve_background_depth(
     mode: str = "exact",
 ) -> DepthMap:
     """Per-pixel distance to the room shell implied by the layout."""
-    if mode not in RESOLVE_MODES:
-        raise ValueRangeError(f"mode must be one of {RESOLVE_MODES}, got {mode!r}")
+    _check_mode(mode)
     layout.validate_against(grid)
     cos_lat, sin_lat, _, _ = pixel_center_trig(grid)
     exact = mode == "exact"

@@ -32,14 +32,6 @@ def _load(cls, path: str):
     return cls._own(grid, values)
 
 
-def _load_depth(path: str) -> DepthMap:
-    return _load(DepthMap, path)
-
-
-def _load_seg(path: str) -> SegMap:
-    return _load(SegMap, path)
-
-
 def _cmd_synth(args) -> int:
     if args.count < 1:
         raise ValueRangeError(f"--count must be >= 1, got {args.count}")
@@ -67,7 +59,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_bg(args) -> int:
     layout, grid = formats.layout_from_dict(formats.read_json(args.layout))
-    coarse = _load_depth(args.coarse)
+    coarse = _load(DepthMap, args.coarse)
     heights = bgdepth.resolve_camera_heights(layout, coarse, grid)
     bg = bgdepth.resolve_background_depth(layout, heights, grid, mode=args.mode)
     formats.write_pfm(bg.values, args.out)
@@ -75,25 +67,25 @@ def _cmd_bg(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    coarse = _load_depth(args.coarse)
-    bg = _load_depth(args.bg)
-    seg = _load_seg(args.seg)
+    coarse = _load(DepthMap, args.coarse)
+    bg = _load(DepthMap, args.bg)
+    seg = _load(SegMap, args.seg)
     fused = fusion.fuse_depth(coarse, bg, seg)
     formats.write_pfm(fused.values, args.out)
     return 0
 
 
 def _cmd_seglabel(args) -> int:
-    gt = _load_depth(args.gt)
-    bg = _load_depth(args.bg)
+    gt = _load(DepthMap, args.gt)
+    bg = _load(DepthMap, args.bg)
     labels = fusion.derive_seg_labels(gt, bg, gamma=args.gamma)
     formats.write_pfm(labels.values, args.out)
     return 0
 
 
 def _cmd_denoise(args) -> int:
-    gt = _load_depth(args.gt)
-    bg = _load_depth(args.bg)
+    gt = _load(DepthMap, args.gt)
+    bg = _load(DepthMap, args.bg)
     room = formats.room_from_dict(formats.read_json(args.room))
     cleaned = denoise.denoise_depth(gt, bg, room, gt.grid, slack=args.slack)
     formats.write_pfm(cleaned.values, args.out)
@@ -101,17 +93,17 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    pred = _load_depth(args.pred)
-    gt = _load_depth(args.gt)
-    mask = _load_seg(args.mask) if args.mask else None
+    pred = _load(DepthMap, args.pred)
+    gt = _load(DepthMap, args.gt)
+    mask = _load(SegMap, args.mask) if args.mask else None
     report = metrics.eval_metrics(pred, gt, mask)
     formats._atomic_write(args.json, ((report.to_json() + "\n").encode("ascii"),))
     return 0
 
 
 def _cmd_pointcloud(args) -> int:
-    depth = _load_depth(args.depth)
-    formats.write_ply_pointcloud(depth.values, depth.grid, args.out)
+    depth = _load(DepthMap, args.depth)
+    formats.write_ply_pointcloud(depth.values, args.out)
     return 0
 
 
@@ -141,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bg", help="resolve camera heights and background depth")
     p.add_argument("--layout", required=True)
     p.add_argument("--coarse", required=True)
-    p.add_argument("--mode", choices=["exact", "paper-literal"], default="exact")
+    p.add_argument("--mode", choices=bgdepth.RESOLVE_MODES, default="exact")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bg)
 

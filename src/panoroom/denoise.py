@@ -50,10 +50,13 @@ _MARGIN = 1e-9
 
 def shell_outside_distance(room: ManhattanRoom, points: np.ndarray) -> np.ndarray:
     """Euclidean distance from 3D points to the closed room shell (0 inside)."""
-    pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64).reshape(-1, 3))
-    return _kernels.shell_outside_distance(
-        room.edges, room.cam_to_floor, room.cam_to_ceil, pts
-    )
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    x, y, z = pts.T
+    dv = np.maximum(np.maximum(z - room.cam_to_ceil, -room.cam_to_floor - z), 0.0)
+    edges = room.edges
+    inside = _kernels._points_in_polygon(edges, x, y)
+    dh = np.where(inside, 0.0, _kernels.polygon_boundary_distance(edges, x, y))
+    return np.hypot(dh, dv)
 
 
 def _box_gap_sq(room: ManhattanRoom, x, y, z) -> np.ndarray:

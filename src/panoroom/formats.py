@@ -120,11 +120,16 @@ def _write_pfms(paths, shape, bands) -> None:
                         f.write(out[: c1 - c0])
 
 
-def write_pfm(values: np.ndarray, path: str) -> None:
-    """Write an H x W map as a little-endian grayscale PFM."""
+def _map_2d(values, writer: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 2:
-        raise ShapeMismatchError(f"PFM writer expects a 2D map, got {arr.ndim} dimensions")
+        raise ShapeMismatchError(f"{writer} writer expects a 2D map, got {arr.ndim} dimensions")
+    return arr
+
+
+def write_pfm(values: np.ndarray, path: str) -> None:
+    """Write an H x W map as a little-endian grayscale PFM."""
+    arr = _map_2d(values, "PFM")
     _write_pfms([path], arr.shape, [(slice(0, arr.shape[0]), (arr,))])
 
 
@@ -241,6 +246,7 @@ def write_json(obj, path: str) -> None:
 
 
 def layout_to_dict(layout: LayoutMap, grid: GridSpec) -> dict:
+    layout.validate_against(grid)
     return {
         "width": grid.width,
         "height": grid.height,
@@ -428,8 +434,11 @@ def _unproject_bands(depth_values: np.ndarray, grid: GridSpec):
         yield pts
 
 
-def write_ply_pointcloud(depth_values: np.ndarray, grid: GridSpec, path: str) -> None:
-    """Unproject valid pixels to 3D and write an ASCII PLY point cloud."""
+def write_ply_pointcloud(depth_values: np.ndarray, path: str) -> None:
+    """Unproject the valid pixels (depth > 0) of an H x 2H equirectangular
+    depth map to 3D and write an ASCII PLY point cloud."""
+    depth_values = _map_2d(depth_values, "PLY")
+    grid = GridSpec(width=depth_values.shape[1], height=depth_values.shape[0])
     header = (
         f"ply\nformat ascii 1.0\nelement vertex {np.count_nonzero(depth_values > 0)}\n"
         "property float x\nproperty float y\nproperty float z\nend_header\n"

@@ -25,6 +25,7 @@ BOX_SIZE_RANGES = ((0.3, 1.2), (0.3, 1.2), (0.3, 1.5))
 # On a 2-CPU Xeon, 1000 boxes take 0.3-0.5 s to place and 0.5-0.8 s to render at 1024x512.
 MAX_BOXES = 1000
 MIN_CORNER_AZIMUTH_GAP = 3.0 * 2.0 * np.pi / 1024.0  # three columns at W=1024
+_MASK_EPS = 1e-6  # m: how far in front of the room shell a box still counts as background
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueRangeError(f"noise seed must be >= 0, got {self.seed}")
         if not (0 <= self.salt_frac <= 1 and 0 <= self.outlier_frac <= 1):
             raise ValueRangeError("noise fractions must lie in [0, 1]")
         if self.salt_frac + self.outlier_frac > 1:
@@ -110,6 +113,8 @@ def _footprint_ok(edges: np.ndarray, x0, y0, x1, y1) -> bool:
 
 def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneSpec:
     """Deterministically sample a room (and boxes) satisfying all invariants."""
+    if seed < 0:
+        raise ValueRangeError(f"scene seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     width = rng.uniform(3.0, 8.0)
     depth = rng.uniform(3.0, 8.0)
@@ -179,12 +184,12 @@ def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneSpec:
     return SceneSpec(room=room, boxes=np.array(boxes, dtype=np.float64).reshape(-1, 6), seed=int(seed))
 
 
-def _render_bands(scene: SceneSpec, grid: GridSpec, boxes, eps: float = 1e-6):
+def _render_bands(scene: SceneSpec, grid: GridSpec, boxes):
     """Render ``scene`` one row band (``bgdepth._row_bands``) at a time.
 
     Yields ``(rows, depth, shell, mask)`` per band, top to bottom: the
     depth with ``boxes`` in front of the room shell, the shell alone, and
-    1 where the two agree within ``eps``. Where no box reaches a band,
+    1 where the two agree within ``_MASK_EPS``. Where no box reaches a band,
     ``depth`` is ``shell`` itself and the mask is all ones. The arrays are
     reused from band to band, so a caller copies what it keeps before
     asking for the next band. A non-finite shell raises ``ValueRangeError``
@@ -196,7 +201,6 @@ def _render_bands(scene: SceneSpec, grid: GridSpec, boxes, eps: float = 1e-6):
     """
     room = scene.room
     parts = _kernels.shell_parts(room.edges, room.cam_to_floor, room.cam_to_ceil, grid)
-    walls = _kernels.wall_rows(parts, grid)
     cl, dz, cos_lon, sin_lon = pixel_center_trig(grid)
     footprints = []
     for box in boxes:
@@ -208,7 +212,7 @@ def _render_bands(scene: SceneSpec, grid: GridSpec, boxes, eps: float = 1e-6):
     shell_buf, depth_buf, mask_buf = np.empty((3, bands[0].stop, grid.width))
     for rows in bands:
         n = rows.stop - rows.start
-        shell = _kernels.shell_band(parts, walls, grid, rows, shell_buf[:n])
+        shell = _kernels.shell_band(parts, grid, rows, shell_buf[:n])
         # A box entry lies in (0, shell), so only the shell can hold inf or
         # NaN; shell distances are positive by construction.
         if not np.isfinite(shell).all():
@@ -229,8 +233,9 @@ def _render_bands(scene: SceneSpec, grid: GridSpec, boxes, eps: float = 1e-6):
         if depth is shell:
             mask.fill(1.0)
         else:
-            np.subtract(depth, shell, out=mask)
-            np.less_equal(np.abs(mask, out=mask), eps, out=mask)
+            # a box only lowers the depth: this is |depth - shell| <= _MASK_EPS
+            np.subtract(shell, depth, out=mask)
+            np.less_equal(mask, _MASK_EPS, out=mask)
         yield rows, depth, shell, mask
 
 
@@ -243,31 +248,26 @@ def raycast_depth(scene: SceneSpec, grid: GridSpec, include_foreground: bool = T
     return DepthMap._own(grid, out)
 
 
-def render_scene(
-    scene: SceneSpec, grid: GridSpec, eps: float = 1e-6
-) -> tuple[DepthMap, DepthMap, SegMap]:
+def render_scene(scene: SceneSpec, grid: GridSpec) -> tuple[DepthMap, DepthMap, SegMap]:
     """The renders with and without foreground, and their background mask,
     from one shell pass.
 
-    The mask is 1 where the two renders agree within ``eps``: they hold the
-    same bits outside the box footprints, so only those are compared.
+    The mask is 1 where the renders agree within ``_MASK_EPS``: they hold
+    the same bits outside the box footprints, so only those are compared.
     """
-    # the footprint-only mask holds only for eps >= 0
-    if not eps >= 0:
-        raise ValueRangeError(f"eps must be >= 0, got {eps}")
     depth, mask = np.empty(grid.shape), np.empty(grid.shape)
     # without boxes both renders are one map
     shell = np.empty(grid.shape) if len(scene.boxes) else depth
-    for rows, d, s, m in _render_bands(scene, grid, scene.boxes, eps):
+    for rows, d, s, m in _render_bands(scene, grid, scene.boxes):
         depth[rows] = d
         shell[rows] = s
         mask[rows] = m
     return DepthMap._own(grid, depth), DepthMap._own(grid, shell), SegMap._own(grid, mask)
 
 
-def gt_background_mask(scene: SceneSpec, grid: GridSpec, eps: float = 1e-6) -> SegMap:
-    """1 where renders with and without foreground agree within eps."""
-    return render_scene(scene, grid, eps)[2]
+def gt_background_mask(scene: SceneSpec, grid: GridSpec) -> SegMap:
+    """1 where renders with and without foreground agree within ``_MASK_EPS``."""
+    return render_scene(scene, grid)[2]
 
 
 def corrupt_depth(depth: DepthMap, noise: NoiseSpec) -> DepthMap:

@@ -177,7 +177,7 @@ def test_point_cloud_matches_whole_grid(monkeypatch, tmp_path, height, rows):
     set_band_rows(monkeypatch, grid, rows)
     _, _, coarse = noisy_scene(grid, 3)
     path = tmp_path / "cloud.ply"
-    formats.write_ply_pointcloud(coarse.values, grid, str(path))
+    formats.write_ply_pointcloud(coarse.values, str(path))
     assert path.read_bytes() == reference_ply(coarse.values, grid)
 
 

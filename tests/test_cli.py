@@ -411,8 +411,8 @@ def test_loaded_maps_are_read_only_float64(tmp_path):
     values = np.linspace(0.0, 1.0, 32, dtype=np.float32).reshape(4, 8)
     path = tmp_path / "m.pfm"
     write_pfm(values, str(path))
-    for load in (cli._load_depth, cli._load_seg):
-        loaded = load(str(path))
+    for cls in (panoroom.DepthMap, panoroom.SegMap):
+        loaded = cli._load(cls, str(path))
         assert loaded.grid.shape == (4, 8)
         assert loaded.values.dtype == np.float64 and not loaded.values.flags.writeable
         assert np.array_equal(loaded.values, values)
@@ -439,8 +439,8 @@ def test_non_finite_shell_mid_stream_leaves_every_map(tmp_path, capsys, monkeypa
     before = maps_of(scene_dir)
     real = synth._kernels.shell_band
 
-    def leaky(parts, walls, grid, rows, out):
-        shell = real(parts, walls, grid, rows, out)
+    def leaky(parts, grid, rows, out):
+        shell = real(parts, grid, rows, out)
         # row 200 renders after rows 0-127, the first chunk of every file, are written
         if rows.start <= 200 < rows.stop:
             shell[200 - rows.start, 7] = np.nan

@@ -26,8 +26,15 @@ from panoroom import (
     total_loss,
 )
 from panoroom import cli, errors, synth
+from panoroom.bgdepth import cap_depth, wall_depth
 from panoroom.errors import PanoroomError
-from panoroom.formats import layout_from_dict, read_pfm, write_pfm
+from panoroom.formats import (
+    layout_from_dict,
+    layout_to_dict,
+    read_pfm,
+    write_pfm,
+    write_ply_pointcloud,
+)
 
 from conftest import make_scene
 
@@ -53,9 +60,18 @@ HEIGHTS = CameraHeights(up=1.0, down=1.5)
         (lambda: SceneConfig(plan="round"), "value-range"),
         (lambda: SceneConfig(box_count_range=(0, synth.MAX_BOXES + 1)), "value-range"),
         (lambda: write_pfm(np.ones((2, 4, 1)), "unwritten.pfm"), "shape-mismatch"),
+        (lambda: cap_depth(np.pi / 2, 1.5, "Exact"), "value-range"),
+        (lambda: wall_depth(0.5, 2.0, "exakt"), "value-range"),
+        (lambda: generate_scene(-1), "value-range"),
+        (lambda: NoiseSpec(seed=-1), "value-range"),
+        (lambda: write_ply_pointcloud(np.ones((4, 4)), "unwritten.ply"), "shape-mismatch"),
+        (lambda: write_ply_pointcloud(np.ones((2, 4, 1)), "unwritten.ply"), "shape-mismatch"),
+        (lambda: layout_to_dict(LAYOUT, GridSpec(width=8, height=4)), "shape-mismatch"),
     ],
     ids=["focal-alpha", "focal-eta", "loss-weight", "loss-term", "mode", "box-extent",
-         "noise-fraction", "noise-sum", "noise-offset", "plan", "box-count", "pfm-3d"],
+         "noise-fraction", "noise-sum", "noise-offset", "plan", "box-count", "pfm-3d",
+         "cap-mode", "wall-mode", "scene-seed", "noise-seed", "ply-not-2-to-1", "ply-3d",
+         "layout-grid"],
 )
 def test_library_errors_carry_a_code(call, code):
     with pytest.raises(PanoroomError) as info:

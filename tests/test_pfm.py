@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from panoroom import formats
-from panoroom.equirect import GridSpec
 from panoroom.errors import (
     PfmHeaderError,
     PfmMagicError,
@@ -152,7 +151,7 @@ def write_each_format(tmp_path):
     paths = [tmp_path / "m.pfm", tmp_path / "d.json", tmp_path / "c.ply"]
     write_pfm(np.ones((2, 4)), str(paths[0]))
     write_json({"a": 1}, str(paths[1]))
-    write_ply_pointcloud(np.ones((2, 4)), GridSpec(width=4, height=2), str(paths[2]))
+    write_ply_pointcloud(np.ones((2, 4)), str(paths[2]))
     return paths
 
 

@@ -86,7 +86,7 @@ def test_writer_matches_reference_property(tmp_path_factory, levels, scale):
     grid = GridSpec(width=8, height=4)
     depth = np.array(levels).reshape(grid.shape) * scale
     path = tmp_path_factory.mktemp("ply") / "p.ply"
-    formats.write_ply_pointcloud(depth, grid, str(path))
+    formats.write_ply_pointcloud(depth, str(path))
     assert path.read_bytes() == reference_ply(depth, grid)
 
 
@@ -95,7 +95,7 @@ def test_inf_depth_pixel(tmp_path):
     depth = np.full(grid.shape, 2.0)
     depth[3, 5] = np.inf
     path = tmp_path / "inf.ply"
-    formats.write_ply_pointcloud(depth, grid, str(path))
+    formats.write_ply_pointcloud(depth, str(path))
     data = path.read_bytes()
     assert data == reference_ply(depth, grid)
     assert b"inf" in data
@@ -104,7 +104,7 @@ def test_inf_depth_pixel(tmp_path):
 def test_all_zero_map_gives_empty_body(tmp_path):
     grid = GridSpec(width=16, height=8)
     path = tmp_path / "zero.ply"
-    formats.write_ply_pointcloud(np.zeros(grid.shape), grid, str(path))
+    formats.write_ply_pointcloud(np.zeros(grid.shape), str(path))
     data = path.read_bytes()
     assert data == reference_ply(np.zeros(grid.shape), grid)
     assert data.endswith(b"element vertex 0\nproperty float x\nproperty float y\n"
@@ -121,7 +121,7 @@ def test_point_counts_around_chunk_size(tmp_path, count):
     depth = np.zeros(grid.shape)
     depth.flat[:count] = rng.uniform(0.1, 12.0, size=count)
     path = tmp_path / "c.ply"
-    formats.write_ply_pointcloud(depth, grid, str(path))
+    formats.write_ply_pointcloud(depth, str(path))
     assert path.read_bytes() == reference_ply(depth, grid)
 
 

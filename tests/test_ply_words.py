@@ -62,5 +62,5 @@ def test_bands_with_and_without_invalid_pixels(monkeypatch, tmp_path, band_rows)
     depth[-1, :5] = 0.0
     depth[-2, -1] = 0.0
     path = tmp_path / "cloud.ply"
-    formats.write_ply_pointcloud(depth, grid, str(path))
+    formats.write_ply_pointcloud(depth, str(path))
     assert path.read_bytes() == reference_ply(depth, grid)

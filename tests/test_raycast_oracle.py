@@ -22,6 +22,7 @@ from panoroom import (
     generate_scene,
     raycast_depth,
     render_scene,
+    synth,
 )
 from panoroom.equirect import pixel_center_trig
 
@@ -212,7 +213,7 @@ def test_shell_keeps_its_bits_where_the_floor_meets_the_nearest_wall(height):
                 assert np.array_equal(shell_render(tied, grid), rebuilt_shell(tied, grid))
 
 
-def test_box_across_band_edges_and_the_seam_matches_brute_force():
+def test_box_across_band_edges_and_the_seam_matches_brute_force(monkeypatch):
     """A box close behind the camera, across the lon = +-pi seam, whose
     footprint spans several row bands and is computed in more than one
     piece, against the brute-force ray caster at H = 256."""
@@ -229,5 +230,6 @@ def test_box_across_band_edges_and_the_seam_matches_brute_force():
     assert seen[:, 0].any() and seen[:, -1].any()
     (seen_rows,) = np.nonzero(seen.any(axis=1))
     assert seen_rows[-1] // band - seen_rows[0] // band >= 3
-    got_fg, got_bg, mask = render_scene(scene, grid, 0.0)
+    monkeypatch.setattr(synth, "_MASK_EPS", 0.0)
+    got_fg, got_bg, mask = render_scene(scene, grid)
     assert np.array_equal(mask.values == 0.0, got_fg.values < got_bg.values)
