@@ -106,13 +106,13 @@ def _write_pfms(paths, shape, bands) -> None:
                 c0 = done - done % step
                 c1 = min(c0 + step, h)
                 r1 = min(rows.stop, c1)
-                for out, arr in zip(chunk, arrays):
-                    piece = arr[done - rows.start : r1 - rows.start]
-                    try:
-                        with np.errstate(over="raise"):
+                try:
+                    with np.errstate(over="raise"):
+                        for out, arr in zip(chunk, arrays):
+                            piece = arr[done - rows.start : r1 - rows.start]
                             np.copyto(out[c1 - r1 : c1 - done], piece[::-1])
-                    except FloatingPointError:
-                        raise ValueRangeError("value beyond the float32 range of a PFM") from None
+                except FloatingPointError:
+                    raise ValueRangeError("value beyond the float32 range of a PFM") from None
                 done = r1
                 if done == c1:
                     for f, out in zip(files, chunk):
@@ -124,6 +124,8 @@ def _map_2d(values, writer: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 2:
         raise ShapeMismatchError(f"{writer} writer expects a 2D map, got {arr.ndim} dimensions")
+    if 0 in arr.shape:
+        raise ValueRangeError(f"{writer} writer expects a nonempty map, got shape {arr.shape}")
     return arr
 
 

@@ -75,22 +75,20 @@ def polygon_edges(vertices: np.ndarray) -> np.ndarray:
     return np.concatenate([v, np.roll(v, -1, axis=0)], axis=1)
 
 
-def _segments_intersect(p1, p2, p3, p4):
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    straddles = (orient(p3, p4, p1) > 0) != (orient(p3, p4, p2) > 0)
-    return bool(straddles and (orient(p1, p2, p3) > 0) != (orient(p1, p2, p4) > 0))
-
-
 def is_simple_polygon(vertices: np.ndarray) -> bool:
     """True when no two non-adjacent edges cross (O(n^2); n is small)."""
     v = np.asarray(vertices, dtype=np.float64)
     n = len(v)
+
+    def left(a, b, c):  # c lies to the left of the line from a to b
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) > 0
+
     for i in range(n):
+        p1, p2 = v[i], v[(i + 1) % n]
         # edge j > i is adjacent to edge i when j == i + 1, or i == 0 and j == n - 1
         for j in range(i + 2, n - (i == 0)):
-            if _segments_intersect(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n]):
+            p3, p4 = v[j], v[(j + 1) % n]
+            if left(p3, p4, p1) != left(p3, p4, p2) and left(p1, p2, p3) != left(p1, p2, p4):
                 return False
     return True
 

@@ -17,7 +17,7 @@ from .bgdepth import DepthMap, _row_bands
 from .equirect import GridSpec, pixel_center_trig
 from .errors import PlacementError, ValueRangeError
 from .fusion import SegMap
-from .layout import ManhattanRoom, _segments_intersect, polygon_edges
+from .layout import ManhattanRoom
 
 CAMERA_WALL_CLEARANCE = 0.5  # meters
 # (lo, hi) box extents along x, y and z, meters; z is also kept below the room
@@ -95,22 +95,6 @@ def _min_azimuth_gap(vertices: np.ndarray) -> float:
     return float(np.min(gaps))
 
 
-def _footprint_ok(edges: np.ndarray, x0, y0, x1, y1) -> bool:
-    """Axis-aligned footprint strictly inside the (possibly L-shaped) plan."""
-    corners = np.array([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
-    cx, cy = corners.T
-    if not _kernels._points_in_polygon(edges, cx, cy).all():
-        return False
-    if _kernels.polygon_boundary_distance(edges, cx, cy).min() < 1e-9:
-        return False
-    rect_edges = polygon_edges(corners)
-    for e in edges:
-        for r in rect_edges:
-            if _segments_intersect(e[:2], e[2:], r[:2], r[2:]):
-                return False
-    return True
-
-
 def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneSpec:
     """Deterministically sample a room (and boxes) satisfying all invariants."""
     if seed < 0:
@@ -171,9 +155,15 @@ def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneSpec:
             y0, y1 = cy - sy / 2.0, cy + sy / 2.0
             z0 = -cam_to_floor
             z1 = z0 + sz
-            if z1 >= cam_to_ceil - 1e-9:
+            # For a rect plan, or an L plan whose notch is a corner of its
+            # bounding box, four footprint corners strictly inside the plan
+            # and 1e-9 m clear of every wall put the whole footprint inside:
+            # a footprint reaching into the notch has its far corner there.
+            # The draw of sz keeps every box top 1e-3 m below the ceiling.
+            px, py = np.array([x0, x1, x1, x0]), np.array([y0, y0, y1, y1])
+            if not _kernels._points_in_polygon(edges, px, py).all():
                 continue
-            if not _footprint_ok(edges, x0, y0, x1, y1):
+            if _kernels.polygon_boundary_distance(edges, px, py).min() < 1e-9:
                 continue
             # the box must not contain the camera origin
             if x0 < 0.0 < x1 and y0 < 0.0 < y1 and z0 < 0.0 < z1:
@@ -267,7 +257,10 @@ def render_scene(scene: SceneSpec, grid: GridSpec) -> tuple[DepthMap, DepthMap, 
 
 def gt_background_mask(scene: SceneSpec, grid: GridSpec) -> SegMap:
     """1 where renders with and without foreground agree within ``_MASK_EPS``."""
-    return render_scene(scene, grid)[2]
+    mask = np.empty(grid.shape)
+    for rows, _, _, m in _render_bands(scene, grid, scene.boxes):
+        mask[rows] = m
+    return SegMap._own(grid, mask)
 
 
 def corrupt_depth(depth: DepthMap, noise: NoiseSpec) -> DepthMap:

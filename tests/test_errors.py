@@ -67,17 +67,22 @@ HEIGHTS = CameraHeights(up=1.0, down=1.5)
         (lambda: write_ply_pointcloud(np.ones((4, 4)), "unwritten.ply"), "shape-mismatch"),
         (lambda: write_ply_pointcloud(np.ones((2, 4, 1)), "unwritten.ply"), "shape-mismatch"),
         (lambda: layout_to_dict(LAYOUT, GridSpec(width=8, height=4)), "shape-mismatch"),
+        (lambda: write_pfm(np.empty((3, 0)), "unwritten.pfm"), "value-range"),
+        (lambda: write_pfm(np.empty((0, 4)), "unwritten.pfm"), "value-range"),
     ],
     ids=["focal-alpha", "focal-eta", "loss-weight", "loss-term", "mode", "box-extent",
          "noise-fraction", "noise-sum", "noise-offset", "plan", "box-count", "pfm-3d",
          "cap-mode", "wall-mode", "scene-seed", "noise-seed", "ply-not-2-to-1", "ply-3d",
-         "layout-grid"],
+         "layout-grid", "pfm-zero-width", "pfm-zero-height"],
 )
-def test_library_errors_carry_a_code(call, code):
+def test_library_errors_carry_a_code(call, code, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(PanoroomError) as info:
         call()
     assert info.value.code == code
     assert isinstance(info.value, ValueError)
+    # a refused call creates no file, not even a temp file
+    assert list(tmp_path.iterdir()) == []
 
 
 def _pfm(tmp_path, data: bytes) -> str:

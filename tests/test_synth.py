@@ -61,6 +61,41 @@ def test_invariant_sweep():
             assert not (inside_xy and b[2] < 0 < b[5])
 
 
+def _segments_meet(p, q, r, s):
+    """Whether the closed segments pq and rs share a point."""
+    def orient(a, b, c):
+        return np.sign((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+
+    o1, o2, o3, o4 = orient(p, q, r), orient(p, q, s), orient(r, s, p), orient(r, s, q)
+    if o1 * o2 > 0 or o3 * o4 > 0:
+        return False
+    if o1 == o2 == o3 == o4 == 0:  # collinear: they meet where their extents overlap
+        return all(min(p[k], q[k]) <= max(r[k], s[k]) and min(r[k], s[k]) <= max(p[k], q[k])
+                   for k in (0, 1))
+    return True
+
+
+@pytest.mark.parametrize("plan", ["rect", "lshape"])
+@pytest.mark.parametrize("boxes", [(0, 4), (10, 30)], ids=["0-4", "10-30"])
+def test_box_footprints_inside_the_plan(plan, boxes):
+    """Placement checks only footprint corners and their wall clearance;
+    for both plans that keeps the whole footprint strictly inside."""
+    placed = 0
+    for seed in range(100):
+        scene = make_scene(seed, plan=plan, boxes=boxes)
+        room = scene.room
+        walls = room.edges.tolist()
+        for x0, y0, z0, x1, y1, z1 in scene.boxes.tolist():
+            corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+            assert all(point_in_polygon_loop(walls, x, y) for x, y in corners)
+            for ax, ay, bx, by in walls:
+                for k in range(4):
+                    assert not _segments_meet((ax, ay), (bx, by), corners[k], corners[k - 1])
+            assert z1 <= room.cam_to_ceil - 1e-3
+        placed += len(scene.boxes)
+    assert placed >= 100 * boxes[0]
+
+
 def test_nadir_and_zenith_depths():
     scene = make_scene(3)
     depth = raycast_depth(scene, GRID, include_foreground=False).values
