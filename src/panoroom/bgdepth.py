@@ -22,7 +22,7 @@ import numpy as np
 from . import _kernels
 from .equirect import GridSpec, pixel_center_lats, pixel_center_trig, row_to_lat
 from .errors import NoValidSamplesError, ShapeMismatchError, ValueRangeError
-from .layout import CameraHeights, LayoutMap, floor_wall_range
+from .layout import CameraHeights, LayoutMap, _readonly, floor_wall_range
 
 CEILING, WALL, FLOOR = 0, 1, 2
 
@@ -44,9 +44,10 @@ def _row_bands(grid: GridSpec):
 
 @dataclass(frozen=True)
 class _GridMap:
-    """H x W float64 values on ``grid``. Public construction runs the
-    subclass's ``_check`` and keeps a read-only copy; ``_own`` wraps a map
-    the package computes itself without either."""
+    """H x W float64 values on ``grid``. Public construction keeps one
+    read-only float64 copy (``layout._readonly``) and runs the subclass's
+    ``_check`` on it; ``_own`` wraps a map the package computes itself
+    without either."""
 
     grid: GridSpec
     values: np.ndarray
@@ -54,12 +55,10 @@ class _GridMap:
     _noun = ""  # names the map in the shape error
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = _readonly(self.values)
         if v.shape != self.grid.shape:
             raise ShapeMismatchError(f"{self._noun} values {v.shape} != grid {self.grid.shape}")
         self._check(v)
-        v = v.copy()
-        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     @classmethod

@@ -13,8 +13,6 @@ import functools
 import os
 import sys
 
-import numpy as np
-
 from . import bgdepth, denoise, formats, fusion, metrics, synth
 from .bgdepth import DepthMap
 from .equirect import GridSpec
@@ -24,12 +22,9 @@ from .layout import room_to_layout
 
 
 def _load(cls, path: str):
-    """A ``DepthMap`` or ``SegMap`` from a PFM, with every check of public
-    construction but not its copy: the widened array is already fresh."""
-    values = formats.read_pfm(path).astype(np.float64)
-    grid = GridSpec(width=values.shape[1], height=values.shape[0])
-    cls._check(values)
-    return cls._own(grid, values)
+    """A ``DepthMap`` or ``SegMap`` from a PFM, by public construction."""
+    values = formats.read_pfm(path)
+    return cls(grid=GridSpec(width=values.shape[1], height=values.shape[0]), values=values)
 
 
 def _cmd_synth(args) -> int:
@@ -44,8 +39,9 @@ def _cmd_synth(args) -> int:
         scene_dir = os.path.join(args.out_dir, f"scene_{i:03d}")
         os.makedirs(scene_dir, exist_ok=True)
         layout = room_to_layout(scene.room, grid)
-        formats.write_json(formats.scene_to_dict(scene), os.path.join(scene_dir, "scene.json"))
-        # the three maps are rendered and written a row band at a time
+        # the three maps are rendered and written a row band at a time. The
+        # JSON files follow them, so a scene that fails while its maps are
+        # rendered or written leaves all five files of the previous scene.
         formats._write_pfms(
             [os.path.join(scene_dir, n) for n in ("gt.pfm", "bg_gt.pfm", "segmask.pfm")],
             grid.shape,
@@ -54,6 +50,7 @@ def _cmd_synth(args) -> int:
         formats.write_json(
             formats.layout_to_dict(layout, grid), os.path.join(scene_dir, "layout.json")
         )
+        formats.write_json(formats.scene_to_dict(scene), os.path.join(scene_dir, "scene.json"))
     return 0
 
 

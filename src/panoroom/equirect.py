@@ -17,6 +17,7 @@ formulas are :func:`row_to_lat`, :func:`lat_to_row`, :func:`col_to_lon` and
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,15 +30,28 @@ from .errors import ShapeMismatchError, ValueRangeError
 _MAX_HEIGHT = 4096
 
 
+def _is_int(v) -> bool:
+    """True for what ``operator.index`` takes, bool excepted."""
+    try:
+        operator.index(v)
+    except TypeError:
+        return False
+    return not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Equirectangular image dimensions; width must be twice the height, and
-    the height at most ``_MAX_HEIGHT``."""
+    """Equirectangular image dimensions, integers but not bool; width must be
+    twice the height, and the height at most ``_MAX_HEIGHT``."""
 
     width: int
     height: int
 
     def __post_init__(self):
+        if not (_is_int(self.width) and _is_int(self.height)):
+            raise ValueRangeError(
+                f"grid dimensions must be integers, got {self.width!r} x {self.height!r}"
+            )
         if self.height <= 0 or self.width <= 0:
             raise ValueRangeError("grid dimensions must be positive")
         if self.width != 2 * self.height:

@@ -17,8 +17,10 @@ from .equirect import GridSpec, lat_to_row, lon_to_col, pixel_center_trig, row_t
 from .errors import CornerExtractionError, PolygonError, ShapeMismatchError, ValueRangeError
 
 
-def _readonly(a, dtype=np.float64):
-    out = np.array(a, dtype=dtype)
+def _readonly(a) -> np.ndarray:
+    """A read-only float64 copy of ``a``: the one way a value type takes an
+    array from its caller, so that no later write by the caller reaches it."""
+    out = np.array(a, dtype=np.float64)
     out.flags.writeable = False
     return out
 

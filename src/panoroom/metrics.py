@@ -42,8 +42,8 @@ class FocalParams:
     def __post_init__(self):
         if not (0 < self.alpha <= 1):
             raise ValueRangeError("alpha must lie in (0, 1]")
-        if self.eta < 0:
-            raise ValueRangeError("eta must be >= 0")
+        if not (np.isfinite(self.eta) and self.eta >= 0):
+            raise ValueRangeError("eta must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,9 @@ class LossWeights:
     lambda3: float = 0.4
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0 or self.lambda3 < 0:
-            raise ValueRangeError("loss weights must be >= 0")
+        for w in (self.lambda1, self.lambda2, self.lambda3):
+            if not (np.isfinite(w) and w >= 0):
+                raise ValueRangeError("loss weights must be finite and >= 0")
 
 
 def _pairwise(lo: int, hi: int, piece):

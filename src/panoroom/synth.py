@@ -17,7 +17,7 @@ from .bgdepth import DepthMap, _row_bands
 from .equirect import GridSpec, pixel_center_trig
 from .errors import PlacementError, ValueRangeError
 from .fusion import SegMap
-from .layout import ManhattanRoom
+from .layout import ManhattanRoom, _readonly
 
 CAMERA_WALL_CLEARANCE = 0.5  # meters
 # (lo, hi) box extents along x, y and z, meters; z is also kept below the room
@@ -35,9 +35,12 @@ class SceneSpec:
     seed: int
 
     def __post_init__(self):
-        b = np.asarray(self.boxes, dtype=np.float64).reshape(-1, 6)
-        b.flags.writeable = False
+        b = _readonly(np.reshape(self.boxes, (-1, 6)))
         object.__setattr__(self, "boxes", b)
+        if self.seed < 0:
+            raise ValueRangeError(f"scene seed must be >= 0, got {self.seed}")
+        if not np.all(np.isfinite(b)):
+            raise ValueRangeError("box extents must be finite")
         if np.any(b[:, :3] >= b[:, 3:]):
             raise ValueRangeError("box min must be strictly below box max componentwise")
 
@@ -56,8 +59,8 @@ class NoiseSpec:
             raise ValueRangeError("noise fractions must lie in [0, 1]")
         if self.salt_frac + self.outlier_frac > 1:
             raise ValueRangeError("salt_frac + outlier_frac must be <= 1")
-        if self.outlier_offset <= 0:
-            raise ValueRangeError("outlier_offset must be > 0")
+        if not (np.isfinite(self.outlier_offset) and self.outlier_offset > 0):
+            raise ValueRangeError("outlier_offset must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -171,7 +174,7 @@ def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneSpec:
             boxes.append((x0, y0, z0, x1, y1, z1))
             break
         # unplaceable boxes are skipped, reducing the count
-    return SceneSpec(room=room, boxes=np.array(boxes, dtype=np.float64).reshape(-1, 6), seed=int(seed))
+    return SceneSpec(room=room, boxes=boxes, seed=int(seed))
 
 
 def _render_bands(scene: SceneSpec, grid: GridSpec, boxes):

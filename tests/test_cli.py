@@ -418,6 +418,23 @@ def test_loaded_maps_are_read_only_float64(tmp_path):
         assert np.array_equal(loaded.values, values)
 
 
+@pytest.mark.parametrize("cls", [panoroom.DepthMap, panoroom.SegMap])
+def test_public_construction_from_float32_makes_one_array(cls):
+    """Public construction from a float32 1024 x 512 map, as the loaders
+    get one from a PFM, widens it once: its traced allocations peak below
+    5 MiB, the 4 MiB float64 copy and the range check's 0.5 MiB masks."""
+    grid = equirect.GridSpec(width=1024, height=512)
+    values = np.full(grid.shape, 0.5, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        loaded = cls(grid=grid, values=values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.values.dtype == np.float64 and np.array_equal(loaded.values, values)
+    assert peak < 5 * 2**20
+
+
 # --- synth renders and writes its three maps band by band --------------------
 
 MAPS = ("gt.pfm", "bg_gt.pfm", "segmask.pfm")
@@ -429,14 +446,15 @@ def synth_argv(out_dir, seed):
             "--boxes", 2, 4]
 
 
-def maps_of(scene_dir):
-    return {n: (scene_dir / n).read_bytes() for n in MAPS}
+def files_of(scene_dir):
+    """The bytes of all five files of a scene."""
+    return {n: (scene_dir / n).read_bytes() for n in MAPS + ("layout.json", "scene.json")}
 
 
 def test_non_finite_shell_mid_stream_leaves_every_map(tmp_path, capsys, monkeypatch):
     assert run(synth_argv(tmp_path, 5)) == 0
     scene_dir = tmp_path / "scene_000"
-    before = maps_of(scene_dir)
+    before = files_of(scene_dir)
     real = synth._kernels.shell_band
 
     def leaky(parts, grid, rows, out):
@@ -449,7 +467,7 @@ def test_non_finite_shell_mid_stream_leaves_every_map(tmp_path, capsys, monkeypa
     monkeypatch.setattr(synth._kernels, "shell_band", leaky)
     rc = run(synth_argv(tmp_path, 6))
     assert_one_error_line(capsys, rc, "value-range")
-    assert maps_of(scene_dir) == before
+    assert files_of(scene_dir) == before
     assert not list(scene_dir.glob("*.tmp"))
 
 
@@ -481,23 +499,23 @@ class FullDisk:
 def test_failed_band_write_leaves_every_map(tmp_path, capsys, monkeypatch, failing):
     assert run(synth_argv(tmp_path, 5)) == 0
     scene_dir = tmp_path / "scene_000"
-    before = maps_of(scene_dir)
+    before = files_of(scene_dir)
     real = os.fdopen
     opened = []
 
     def fdopen(fd, mode):
         opened.append(real(fd, mode))
-        # scene.json is opened first, then the maps in MAPS order. The failing
-        # map takes its header and first chunk, and the disk fills on its
-        # last chunk, after every other map has written its first.
-        if len(opened) == 2 + MAPS.index(failing):
+        # the maps are opened first, in MAPS order. The failing map takes
+        # its header and first chunk, and the disk fills on its last chunk,
+        # after every other map has written its first.
+        if len(opened) == 1 + MAPS.index(failing):
             return FullDisk(opened[-1], writes=2)
         return opened[-1]
 
     monkeypatch.setattr(os, "fdopen", fdopen)
     rc = run(synth_argv(tmp_path, 6))
     assert_one_error_line(capsys, rc, "io")
-    assert maps_of(scene_dir) == before
+    assert files_of(scene_dir) == before
     assert not list(scene_dir.glob("*.tmp"))
 
 
