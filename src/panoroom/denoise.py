@@ -9,7 +9,8 @@ and ceiling planes and capped, so the outside distance of a point is
 the height slab)``.
 
 Each pixel is decided by two cheap bounds, and only the few that neither
-settles get the exact distance (one ``shell_outside_distance`` call):
+settles get the exact distance (``shell_outside_distance``). Each bound is
+one table per row and one per column:
 
 * **kept**: a pixel's ray ``u`` leaves the shell at the room's own
   empty-shell depth ``t``, and ``t * u`` lies on the shell, so a point at
@@ -17,17 +18,28 @@ settles get the exact distance (one ``shell_outside_distance`` call):
   the nearer of the row's cap-plane distance ``t_plane`` and the column's
   wall distance ``wall / cos(lat)``, ``wall`` being the horizontal distance
   to the column's first wall crossing. With ``e = d - (slack - margin)``,
-  ``e <= t_plane and e * cos(lat) <= wall`` is ``d <= t + slack - margin``
-  without a per-pixel division;
+  ``d <= t_plane + (slack - margin) and e * cos(lat) <= wall`` is ``d <=
+  t + slack - margin`` without a per-pixel division. The wall test runs
+  only on the rows where a wall may be nearer than the caps
+  (``ShellParts.walls``): elsewhere a depth that passes the cap test is
+  nearer than every wall;
 * **replaced**: the shell lies inside the box of the floor plan's bounding
-  rectangle times the height slab, so a point's squared distance to that
-  box is at most its squared distance to the shell. A box distance beyond
-  ``slack + margin`` proves the pixel is replaced.
+  rectangle times the height slab, so a point more than ``g = slack +
+  margin`` beyond one face of that box is more than ``slack`` outside the
+  shell. ``t_far`` is the row's depth at which the ray leaves the height
+  slab grown by ``g``, and ``w_far`` the column's horizontal distance at
+  which it leaves the rectangle grown by ``g``; ``d > t_far or d * cos(lat)
+  > w_far`` proves the pixel is replaced.
 
 Both bounds are rounded differently from the exact distance, so each keeps
 ``_MARGIN`` on its own side of ``slack``: a pixel the exact distance
 would decide the other way is never settled by a bound, and every output
 bit is that of measuring every pixel.
+
+One pass over the row bands applies both bounds and writes the band's
+output rows. The pixels neither settles are measured in pieces of at most
+one band's pixel count, so the working set is the output map plus
+band-sized temporaries.
 """
 
 from __future__ import annotations
@@ -59,18 +71,65 @@ def shell_outside_distance(room: ManhattanRoom, points: np.ndarray) -> np.ndarra
     return np.hypot(dh, dv)
 
 
-def _box_gap_sq(room: ManhattanRoom, x, y, z) -> np.ndarray:
-    """Squared distance from the points (x, y, z) to the box that holds the
-    room shell: the floor plan's bounding rectangle times the height slab."""
+def _far_bounds(room: ManhattanRoom, grid: GridSpec, gap: float):
+    """The replace bound's tables: per row the depth ``t_far`` at which the
+    pixel ray leaves the height slab grown by ``gap``, and per column the
+    horizontal distance ``w_far`` at which it leaves the floor plan's
+    bounding rectangle grown by ``gap`` (inf where it never leaves)."""
+    _, sin_lat, cos_lon, sin_lon = pixel_center_trig(grid)
     (x_lo, y_lo), (x_hi, y_hi) = room.vertices.min(axis=0), room.vertices.max(axis=0)
-    z_lo, z_hi = -room.cam_to_floor, room.cam_to_ceil
-    gap_sq = np.zeros(len(x))
-    for c, c_lo, c_hi in ((x, x_lo, x_hi), (y, y_lo, y_hi), (z, z_lo, z_hi)):
-        gap = np.maximum(c_lo - c, c - c_hi)
-        np.maximum(gap, 0.0, out=gap)
-        gap *= gap
-        gap_sq += gap
-    return gap_sq
+    t_far = _kernels.plane_depth(sin_lat[:, 0], room.cam_to_floor + gap, room.cam_to_ceil + gap)
+    w_far = np.minimum(
+        _kernels.plane_depth(cos_lon, gap - x_lo, x_hi + gap),
+        _kernels.plane_depth(sin_lon, gap - y_lo, y_hi + gap),
+    )
+    return t_far, w_far
+
+
+def _settle_band(band, rows: slice, parts, far, cos_lat, slack: float):
+    """The pixels of the row band ``band`` (grid rows ``rows``) that the keep
+    bound cannot keep, as band-local row-major indices: those replaced
+    (missing, or past either table of ``far``) and those neither bound
+    settles."""
+    keep = band <= parts.t_plane[rows] + (slack - _MARGIN)
+    # outside ``parts.walls`` a depth that passes the cap test is nearer
+    # than every wall by far more than rounding: the wall test cannot fail
+    lo = min(max(parts.walls.start, rows.start), rows.stop) - rows.start
+    hi = min(max(parts.walls.stop, rows.start), rows.stop) - rows.start
+    if lo < hi:
+        e = band[lo:hi] - (slack - _MARGIN)
+        e *= cos_lat[rows][lo:hi]
+        keep[lo:hi] &= e <= parts.wall
+    keep &= band != 0
+    # written as "not kept" so that a NaN depth makes a candidate
+    (idx,) = np.nonzero(~keep.ravel())
+    r = idx // band.shape[1]
+    c = idx - r * band.shape[1]
+    r += rows.start
+    depth = np.take(band, idx)
+    t_far, w_far = far
+    replaced = depth > t_far[r]
+    replaced |= depth * cos_lat[r, 0] > w_far[c]
+    replaced |= depth == 0
+    return idx[replaced], idx[~replaced]
+
+
+def _unproject(d, flat, grid: GridSpec) -> np.ndarray:
+    """The 3D points, (N, 3), of the pixels ``flat`` (row-major indices) of
+    the depth map ``d``, with the bits of the tests'
+    ``pixel_center_dirs(grid)[rows, cols] * depth``."""
+    cos_lat, sin_lat, cos_lon, sin_lon = pixel_center_trig(grid)
+    rows, cols = np.divmod(flat, grid.width)
+    depth = np.take(d, flat)
+    cl = cos_lat[rows, 0]
+    pts = np.empty((flat.size, 3))
+    x, y, z = pts.T
+    np.multiply(cl, cos_lon[cols], out=x)
+    x *= depth
+    np.multiply(cl, sin_lon[cols], out=y)
+    y *= depth
+    np.multiply(sin_lat[rows, 0], depth, out=z)
+    return pts
 
 
 def denoise_depth(
@@ -88,34 +147,34 @@ def denoise_depth(
     if gt.grid != grid:
         raise ShapeMismatchError("depth map grid differs from requested grid")
 
-    d = gt.values
+    d, bg = gt.values, background.values
     parts = _kernels.shell_parts(room.edges, room.cam_to_floor, room.cam_to_ceil, grid)
-    cos_lat, sin_lat, cos_lon, sin_lon = pixel_center_trig(grid)
-    bands = []
-    for rows in _row_bands(grid):
-        e = d[rows] - (slack - _MARGIN)
-        keep = e <= parts.t_plane[rows]
-        e *= cos_lat[rows]
-        keep &= e <= parts.wall
-        # written as "not kept" so that a NaN depth makes a candidate
-        (band,) = np.nonzero(~keep.ravel())
-        bands.append(band + rows.start * grid.width)
-    flat = np.concatenate(bands)
-    rows, cols = np.divmod(flat, grid.width)
-    depth = np.take(d, flat)
-    # the bits of the tests' pixel_center_dirs(grid)[rows, cols] * depth
-    cl = cos_lat[rows, 0]
-    x = np.multiply(cl, cos_lon[cols])
-    x *= depth
-    y = np.multiply(cl, sin_lon[cols])
-    y *= depth
-    z = np.multiply(sin_lat[rows, 0], depth)
-    far = _box_gap_sq(room, x, y, z) > (slack + _MARGIN) ** 2
-    near = ~far
-    points = np.stack([x[near], y[near], z[near]], axis=1)
-    replace = (d == 0).ravel()
-    replace[flat[far]] = True
-    replace[flat[near]] |= shell_outside_distance(room, points) > slack
+    far = _far_bounds(room, grid, slack + _MARGIN)
+    cos_lat = pixel_center_trig(grid)[0]
     # each pixel comes from one of two validated maps
-    out = np.where(replace.reshape(grid.shape), background.values, d)
+    out = np.empty(grid.shape)
+    flat_out = out.reshape(-1)
+
+    def measure(flat):
+        """Replace the pixels ``flat`` (row-major indices) that the exact
+        distance puts beyond the slack."""
+        outside = flat[shell_outside_distance(room, _unproject(d, flat, grid)) > slack]
+        flat_out[outside] = np.take(bg, outside)
+
+    pending, n_pending = [], 0
+    for rows in _row_bands(grid):
+        band = d[rows]
+        replaced, unsettled = _settle_band(band, rows, parts, far, cos_lat, slack)
+        out[rows] = band
+        at = rows.start * grid.width
+        flat_out[replaced + at] = np.take(bg[rows], replaced)
+        # pieces of at most one band's pixel count keep the exact
+        # distance's temporaries band-sized
+        if n_pending + unsettled.size > band.size:
+            measure(np.concatenate(pending))
+            pending, n_pending = [], 0
+        pending.append(unsettled + at)
+        n_pending += unsettled.size
+    if n_pending:
+        measure(np.concatenate(pending))
     return DepthMap._own(grid, out)

@@ -14,8 +14,8 @@ import numpy as np
 
 from . import _kernels
 from .bgdepth import DepthMap, _row_bands
-from .equirect import GridSpec, pixel_center_trig
-from .errors import PlacementError, ValueRangeError
+from .equirect import GridSpec, _is_int, pixel_center_trig
+from .errors import PlacementError, ShapeMismatchError, ValueRangeError
 from .fusion import SegMap
 from .layout import ManhattanRoom, _readonly
 
@@ -35,10 +35,16 @@ class SceneSpec:
     seed: int
 
     def __post_init__(self):
-        b = _readonly(np.reshape(self.boxes, (-1, 6)))
+        try:
+            b = _readonly(self.boxes)
+        except ValueError as e:  # a ragged list
+            raise ShapeMismatchError(f"boxes do not form an array: {e}") from None
+        if b.size % 6:
+            raise ShapeMismatchError(f"boxes need 6 values each, got {b.size} values")
+        b = b.reshape(-1, 6)
         object.__setattr__(self, "boxes", b)
-        if self.seed < 0:
-            raise ValueRangeError(f"scene seed must be >= 0, got {self.seed}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueRangeError(f"scene seed must be an integer >= 0, got {self.seed!r}")
         if not np.all(np.isfinite(b)):
             raise ValueRangeError("box extents must be finite")
         if np.any(b[:, :3] >= b[:, 3:]):

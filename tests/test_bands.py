@@ -141,10 +141,11 @@ def subsequence_positions(sub, seq):
 @pytest.mark.parametrize("height", HEIGHTS)
 @pytest.mark.parametrize("rows", BAND_ROWS)
 def test_denoise_candidates_match_whole_grid_bound(monkeypatch, height, rows):
-    # the points denoise measures are a row-major subset, with the same
-    # bits, of those that the whole-grid bound d <= shell + slack - margin
-    # leaves undecided; every candidate it leaves unmeasured is beyond the
-    # slack, and the map is the whole-grid rule's
+    # the points denoise measures, over all its exact-distance calls, are a
+    # row-major subset, with the same bits, of those that the whole-grid
+    # bound d <= shell + slack - margin leaves undecided; every candidate it
+    # leaves unmeasured is beyond the slack, and the map is the whole-grid
+    # rule's
     grid = GridSpec(width=2 * height, height=height)
     set_band_rows(monkeypatch, grid, rows)
     scene, _, coarse = noisy_scene(grid, 2)
@@ -159,10 +160,11 @@ def test_denoise_candidates_match_whole_grid_bound(monkeypatch, height, rows):
     d = coarse.values
     points = (d[..., None] * pixel_center_dirs(grid)).reshape(-1, 3)
     for room in disagreeing_rooms(scene.room):
+        measured.clear()
         got = denoise_depth(coarse, bg, room, grid, 1.0).values
         bound = shell_depth(room, grid) + (1.0 - denoise._MARGIN)
         candidates = points[np.flatnonzero(~(d <= bound))]
-        seen = measured.pop()
+        seen = np.concatenate(measured)
         at = subsequence_positions(seen, candidates)
         assert at is not None
         unmeasured = np.delete(candidates, at, axis=0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from panoroom import (
     raycast_depth,
 )
 from panoroom.denoise import shell_outside_distance
-from panoroom.equirect import pixel_center_lons
+from panoroom.equirect import pixel_center_lons, pixel_center_trig
 
 from conftest import make_scene, pixel_center_dirs
 
@@ -180,7 +182,10 @@ def _steps_from(x, ulps):
 def test_matches_full_grid_at_the_bound(height):
     """Depths within 1e-10 m and 3 ulp of ``t + slack``, where ``t`` is the
     room's shell depth: the bound decides these pixels, or hands them to the
-    exact distance, exactly as the full grid does."""
+    exact distance, exactly as the full grid does. With the slack 1e-8, a
+    depth 1e-10 m beyond ``t + slack`` on the rows nearest the poles, whose
+    rays meet a cap at |sin lat| within 2e-3 of 1, lies past the slack, so
+    the cap test's own margin decides it."""
     grid = GridSpec(width=2 * height, height=height)
     scene = make_scene(5, plan="lshape")
     rooms = disagreeing_rooms(scene.room) + [rotated_room(grid, grid.width // 8)]
@@ -190,7 +195,7 @@ def test_matches_full_grid_at_the_bound(height):
     zeros[::7, ::5] = True
     for room in rooms:
         t = shell_depth(room, grid)
-        for slack in SLACKS:
+        for slack in SLACKS + (1e-8,):
             edge = t + slack
             for depth in [edge + o for o in offsets] + [_steps_from(edge, k) for k in range(-3, 4)]:
                 gt = DepthMap(grid=grid, values=np.where(zeros, 0.0, depth))
@@ -213,20 +218,29 @@ def as_rows(points):
     return {p.tobytes() for p in np.ascontiguousarray(points)}
 
 
+def in_shell_box(room, points):
+    """Whether each point lies in the box that holds the room shell: the
+    floor plan's bounding rectangle times the height slab."""
+    lo = np.append(room.vertices.min(axis=0), -room.cam_to_floor)
+    hi = np.append(room.vertices.max(axis=0), room.cam_to_ceil)
+    return np.all((lo <= points) & (points <= hi), axis=-1)
+
+
 @pytest.mark.parametrize("height", [33, 64])
 @pytest.mark.parametrize("slack", [1e-6, 1.0])
 def test_notch_points_reach_the_exact_distance(monkeypatch, height, slack):
     # points in the bounding box's slab but outside the polygon by more
-    # than the slack: the box bound cannot replace them, the exact distance must
+    # than the slack: the replace bound cannot replace them, the exact
+    # distance must
     grid = GridSpec(width=2 * height, height=height)
     room = notch_room()
     dirs = pixel_center_dirs(grid)
     depth = np.array(shell_depth(room, grid))
     in_notch = np.zeros(grid.shape, dtype=bool)
     for t in np.linspace(12.0, 0.5, 116):  # the nearest notch depth along each ray wins
-        pts = (t * dirs).reshape(-1, 3)
-        box = denoise._box_gap_sq(room, pts[:, 0], pts[:, 1], pts[:, 2]).reshape(grid.shape)
-        hit = (box == 0) & (shell_outside_distance(room, pts).reshape(grid.shape) > slack)
+        pts = t * dirs
+        outside = shell_outside_distance(room, pts.reshape(-1, 3)).reshape(grid.shape) > slack
+        hit = in_shell_box(room, pts) & outside
         depth[hit] = t
         in_notch |= hit
     assert np.count_nonzero(in_notch) >= 20
@@ -243,7 +257,7 @@ def test_notch_points_reach_the_exact_distance(monkeypatch, height, slack):
     assert np.array_equal(got, full_grid_denoise(gt, bg, room, grid, slack))
     assert np.all(got[in_notch] == 2.5)
     notch_points = depth[in_notch][:, None] * dirs[in_notch]
-    assert as_rows(notch_points) <= as_rows(measured[0])
+    assert as_rows(notch_points) <= as_rows(np.concatenate(measured))
 
 
 @pytest.mark.parametrize("height", [33, 65])
@@ -280,29 +294,96 @@ def box_exit_depth(room, grid, gap):
     return exits.min(axis=-1)
 
 
+def replace_bound(room, grid, slack, depth):
+    """Whether the replace bound settles each pixel of ``depth``: beyond its
+    row's slab exit or, times cos(lat), its column's rectangle exit."""
+    t_far, w_far = denoise._far_bounds(room, grid, slack + denoise._MARGIN)
+    cos_lat = pixel_center_trig(grid)[0]
+    return (depth > t_far[:, None]) | (depth * cos_lat > w_far)
+
+
 @pytest.mark.parametrize("height", [32, 33])
 @pytest.mark.parametrize("slack", SLACKS)
 def test_box_gap_at_slack_plus_margin(height, slack):
-    # depths within 3 ulp of box gap slack + margin, the box bound's
+    # depths within 3 ulp of box gap slack + margin, the replace bound's
     # threshold, and of box gap slack, where in a rectangle (box and shell
     # agree) the exact distance decides; in a rectangle and an L-shaped room
     grid = GridSpec(width=2 * height, height=height)
     scene = make_scene(3)
     bg = raycast_depth(scene, grid, include_foreground=False)
-    dirs = pixel_center_dirs(grid)
-    threshold = (slack + denoise._MARGIN) ** 2
     for room in (scene.room, notch_room()):
         above = below = 0
         for gap in (slack + denoise._MARGIN, slack):
             edge = box_exit_depth(room, grid, gap)
             for k in range(-3, 4):
                 depth = _steps_from(edge, k)
-                pts = (depth[..., None] * dirs).reshape(-1, 3)
-                gap_sq = denoise._box_gap_sq(room, pts[:, 0], pts[:, 1], pts[:, 2])
-                above += np.count_nonzero(gap_sq > threshold)
-                below += np.count_nonzero(gap_sq <= threshold)
+                settled = replace_bound(room, grid, slack, depth)
+                above += np.count_nonzero(settled)
+                below += np.count_nonzero(~settled)
                 gt = DepthMap(grid=grid, values=depth)
                 want = full_grid_denoise(gt, bg, room, grid, slack)
                 got = denoise_depth(gt, bg, room, grid, slack).values
                 assert np.array_equal(got, want), (slack, gap, k)
         assert above > 0 and below > 0
+
+
+def axis_columns(grid):
+    """The columns nearest the axes: those of the smallest |cos lon| and of
+    the smallest |sin lon|, where one rectangle exit of the replace bound
+    divides by the smallest value."""
+    _, _, cos_lon, sin_lon = pixel_center_trig(grid)
+    nearest = [np.abs(cos_lon), np.abs(sin_lon)]
+    return np.concatenate([np.flatnonzero(a <= a.min() * (1 + 1e-12)) for a in nearest])
+
+
+def far_room():
+    """A rectangle whose walls and caps lie thousands of meters away, so that
+    both bounds and the exact distance decide depths near 1e4 m."""
+    rect = np.array([[-7e3, -5e3], [1e4, -5e3], [1e4, 8e3], [-7e3, 8e3]])
+    return ManhattanRoom(rect, cam_to_floor=4e3, cam_to_ceil=3e3)
+
+
+@pytest.mark.parametrize("height", [32, 33])
+def test_axis_columns_and_depths_near_1e4(height):
+    # at the columns nearest the axes, depths within 3 ulp of each bound's
+    # threshold and of the shell depth plus the slack, in rooms a few meters
+    # and thousands of meters across
+    grid = GridSpec(width=2 * height, height=height)
+    cols = axis_columns(grid)
+    assert cols.size >= 4
+    scene = make_scene(5, plan="lshape")
+    bg = raycast_depth(scene, grid, include_foreground=False)
+    assert box_exit_depth(far_room(), grid, 3.0)[:, cols].max() > 9e3
+    for room in (scene.room, notch_room(), far_room()):
+        for slack in SLACKS:
+            edges = [box_exit_depth(room, grid, slack + denoise._MARGIN),
+                     box_exit_depth(room, grid, slack), shell_depth(room, grid) + slack]
+            for edge in edges + [np.full(grid.shape, 1e4)]:
+                for k in range(-3, 4):
+                    depth = np.array(bg.values)
+                    depth[:, cols] = _steps_from(edge[:, cols], k)
+                    gt = DepthMap(grid=grid, values=depth)
+                    want = full_grid_denoise(gt, bg, room, grid, slack)
+                    got = denoise_depth(gt, bg, room, grid, slack).values
+                    assert np.array_equal(got, want), (slack, k)
+
+
+def test_working_set_is_the_output_plus_bands():
+    # noisy 1024x512 maps, the true room and two that disagree with it: the
+    # traced peak is the 4 MiB output map plus band-sized temporaries, with
+    # the exact distance run in pieces of at most one band
+    grid = GridSpec(width=1024, height=512)
+    for seed, plan in [(0, "lshape"), (1, "rect"), (3, "rect")]:
+        scene = make_scene(seed, plan=plan, boxes=(1, 3))
+        gt = raycast_depth(scene, grid, include_foreground=True)
+        bg = raycast_depth(scene, grid, include_foreground=False)
+        noisy = corrupt_depth(gt, NoiseSpec())
+        for room in disagreeing_rooms(scene.room):
+            denoise_depth(noisy, bg, room, grid)  # the grid's trig is cached on first use
+            tracemalloc.start()
+            try:
+                denoise_depth(noisy, bg, room, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 6 * 2**20, (seed, plan, peak / 2**20)

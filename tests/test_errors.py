@@ -80,13 +80,19 @@ HEIGHTS = CameraHeights(up=1.0, down=1.5)
         (lambda: LossWeights(lambda1=math.inf), "value-range"),
         (lambda: GridSpec(width=64.0, height=32.0), "value-range"),
         (lambda: GridSpec(width=2, height=True), "value-range"),
+        (lambda: SceneSpec(room=SCENE.room, boxes=[0, 0, 0, 1, 1], seed=0), "shape-mismatch"),
+        (lambda: SceneSpec(room=SCENE.room, boxes=[[0, 0, 0, 1, 1, 1], [0, 1]], seed=0),
+         "shape-mismatch"),
+        (lambda: SceneSpec(room=SCENE.room, boxes=np.empty((0, 6)), seed=1.5), "value-range"),
+        (lambda: SceneSpec(room=SCENE.room, boxes=np.empty((0, 6)), seed=True), "value-range"),
     ],
     ids=["focal-alpha", "focal-eta", "loss-weight", "loss-term", "mode", "box-extent",
          "noise-fraction", "noise-sum", "noise-offset", "plan", "box-count", "pfm-3d",
          "cap-mode", "wall-mode", "scene-seed", "noise-seed", "ply-not-2-to-1", "ply-3d",
          "layout-grid", "pfm-zero-width", "pfm-zero-height", "box-nan", "box-inf",
          "spec-seed", "noise-offset-nan", "noise-offset-inf", "focal-eta-nan", "focal-eta-inf",
-         "loss-weight-nan", "loss-weight-inf", "grid-float", "grid-bool"],
+         "loss-weight-nan", "loss-weight-inf", "grid-float", "grid-bool", "box-size",
+         "box-ragged", "spec-seed-float", "spec-seed-bool"],
 )
 def test_library_errors_carry_a_code(call, code, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
