@@ -13,8 +13,10 @@ import itertools
 import json
 import operator
 import os
+import queue
 import re
 import stat
+import threading
 from collections.abc import Iterable
 from contextlib import ExitStack, contextmanager
 
@@ -36,15 +38,107 @@ from .synth import SceneSpec
 
 _O_BINARY = getattr(os, "O_BINARY", 0)
 
+# Replaced files held open at once, at most: each held descriptor keeps a
+# replaced file's disk blocks allocated until the closer releases it.
+_MAX_HELD = 64
+
+
+class _Closer:
+    """Frees the files that renames replace off the writer's path.
+
+    Where a rename replaces a file that is already on disk, the kernel
+    frees that file's blocks inside the rename, and on a filesystem that
+    discards freed blocks the writer waits for it: 1.5–1.65 ms for a
+    written-back 2 MiB file on ext4 with ``discard``, against ~0.1 ms for
+    the rename itself. ``replace`` holds the old file open with ``O_PATH``
+    across the rename, so the rename only unlinks it, and one daemon
+    thread, started on first use, closes what is held. The rename still
+    replaces an existing file, so what it writes and guarantees, and
+    ext4's flush of a file renamed over another, are unchanged. At most
+    ``_MAX_HELD`` descriptors are held; a rename beyond that waits for one
+    to close, and as each writer holds at most one descriptor it has not
+    queued, the wait always ends. Without ``O_PATH`` (not Linux) nothing
+    is held.
+    """
+
+    def __init__(self):
+        self._slots = threading.BoundedSemaphore(_MAX_HELD)
+        self._held = set()  # every descriptor taken and not yet closed
+        self._fds = queue.SimpleQueue()
+        self._start = threading.Lock()
+        self._thread = None
+
+    def replace(self, src: str, dst: str) -> None:
+        """``os.replace(src, dst)``, leaving the old ``dst`` to the closer."""
+        fd = self._hold(dst)
+        if fd is None:
+            os.replace(src, dst)
+            return
+        try:
+            os.replace(src, dst)
+        except BaseException:
+            self._close(fd)
+            raise
+        with self._start:
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._run, name="panoroom-closer", daemon=True
+                )
+                self._thread.start()
+        self._fds.put(fd)
+
+    def _hold(self, path: str):
+        """An ``O_PATH`` descriptor of the file at ``path``, or None when
+        there is none there or no ``O_PATH``."""
+        o_path = getattr(os, "O_PATH", None)
+        if o_path is None:
+            return None
+        self._slots.acquire()
+        try:
+            fd = os.open(path, o_path | os.O_NOFOLLOW | os.O_CLOEXEC)
+        except OSError:  # nothing at the path yet
+            self._slots.release()
+            return None
+        self._held.add(fd)
+        return fd
+
+    def _close(self, fd: int) -> None:
+        # dropped from _held before the close, so that a child forked in
+        # between never closes a number the parent may have reused
+        self._held.discard(fd)
+        os.close(fd)
+        self._slots.release()
+
+    def _run(self) -> None:
+        while True:
+            self._close(self._fds.get())
+
+
+_closer = _Closer()
+
+
+def _closer_after_fork() -> None:
+    """In a forked child, close the inherited held descriptors and start
+    afresh: the parent's closer thread does not exist there."""
+    global _closer
+    inherited, _closer = _closer._held, _Closer()
+    for fd in inherited:
+        os.close(fd)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_closer_after_fork)
+
 
 @contextmanager
 def _atomic_files(paths):
     """Open a temp file beside each of ``paths`` for binary writing.
 
-    When the block completes, each temp file replaces its path; if the
-    block raises, every temp file is removed and each path keeps whatever
-    it held before. The temp files are created with mode 0666 less the
-    umask, as ``open()`` creates a file.
+    When the block completes, each temp file replaces its path, and the
+    file it replaces is freed on the closer (``_Closer``); if the block
+    raises, every temp file is removed and each path keeps whatever it
+    held before. The temp files are created with mode 0666 less the umask,
+    as ``open()`` creates a file.
     """
     tmps = []
     try:
@@ -58,7 +152,7 @@ def _atomic_files(paths):
                 files.append(stack.enter_context(os.fdopen(fd, "wb")))
             yield files
         for tmp, path in zip(tmps, paths):
-            os.replace(tmp, path)
+            _closer.replace(tmp, path)
     except BaseException:
         for tmp in tmps:
             if os.path.exists(tmp):

@@ -18,9 +18,10 @@ from .errors import CornerExtractionError, PolygonError, ShapeMismatchError, Val
 
 
 def _readonly(a) -> np.ndarray:
-    """A read-only float64 copy of ``a``: the one way a value type takes an
-    array from its caller, so that no later write by the caller reaches it."""
-    out = np.array(a, dtype=np.float64)
+    """A read-only, row-major float64 copy of ``a``: the one way a value type
+    takes an array from its caller, so that no later write by the caller
+    reaches it and the banded stages walk rows of contiguous memory."""
+    out = np.array(a, dtype=np.float64, order="C")
     out.flags.writeable = False
     return out
 

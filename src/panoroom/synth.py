@@ -59,8 +59,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueRangeError(f"noise seed must be >= 0, got {self.seed}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueRangeError(f"noise seed must be an integer >= 0, got {self.seed!r}")
         if not (0 <= self.salt_frac <= 1 and 0 <= self.outlier_frac <= 1):
             raise ValueRangeError("noise fractions must lie in [0, 1]")
         if self.salt_frac + self.outlier_frac > 1:
@@ -106,8 +106,8 @@ def _min_azimuth_gap(vertices: np.ndarray) -> float:
 
 def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneSpec:
     """Deterministically sample a room (and boxes) satisfying all invariants."""
-    if seed < 0:
-        raise ValueRangeError(f"scene seed must be >= 0, got {seed}")
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueRangeError(f"scene seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     width = rng.uniform(3.0, 8.0)
     depth = rng.uniform(3.0, 8.0)

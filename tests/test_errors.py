@@ -85,6 +85,11 @@ HEIGHTS = CameraHeights(up=1.0, down=1.5)
          "shape-mismatch"),
         (lambda: SceneSpec(room=SCENE.room, boxes=np.empty((0, 6)), seed=1.5), "value-range"),
         (lambda: SceneSpec(room=SCENE.room, boxes=np.empty((0, 6)), seed=True), "value-range"),
+        (lambda: generate_scene(1.5), "value-range"),
+        (lambda: generate_scene("3"), "value-range"),
+        (lambda: generate_scene(True), "value-range"),
+        (lambda: NoiseSpec(seed=1.5), "value-range"),
+        (lambda: NoiseSpec(seed=True), "value-range"),
     ],
     ids=["focal-alpha", "focal-eta", "loss-weight", "loss-term", "mode", "box-extent",
          "noise-fraction", "noise-sum", "noise-offset", "plan", "box-count", "pfm-3d",
@@ -92,7 +97,8 @@ HEIGHTS = CameraHeights(up=1.0, down=1.5)
          "layout-grid", "pfm-zero-width", "pfm-zero-height", "box-nan", "box-inf",
          "spec-seed", "noise-offset-nan", "noise-offset-inf", "focal-eta-nan", "focal-eta-inf",
          "loss-weight-nan", "loss-weight-inf", "grid-float", "grid-bool", "box-size",
-         "box-ragged", "spec-seed-float", "spec-seed-bool"],
+         "box-ragged", "spec-seed-float", "spec-seed-bool", "scene-seed-float",
+         "scene-seed-str", "scene-seed-bool", "noise-seed-float", "noise-seed-bool"],
 )
 def test_library_errors_carry_a_code(call, code, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -29,7 +29,8 @@ def test_same_seed_identical_serialization():
     cfg = SceneConfig(plan="lshape", box_count_range=(1, 3))
     a = json.dumps(scene_to_dict(generate_scene(42, cfg)))
     b = json.dumps(scene_to_dict(generate_scene(42, cfg)))
-    assert a == b
+    c = json.dumps(scene_to_dict(generate_scene(np.int64(42), cfg)))
+    assert a == b == c
 
 
 def test_zero_box_range():
@@ -195,7 +196,9 @@ def test_corrupt_identity_and_determinism():
     assert np.array_equal(identity.values, depth.values)
     a = corrupt_depth(depth, NoiseSpec(0.05, 0.1, 2.0, seed=5))
     b = corrupt_depth(depth, NoiseSpec(0.05, 0.1, 2.0, seed=5))
+    c = corrupt_depth(depth, NoiseSpec(0.05, 0.1, 2.0, seed=np.int64(5)))
     assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.values, c.values)
 
 
 def test_corrupt_outlier_overflow_is_value_range():

@@ -4,7 +4,19 @@ to the caller's array after construction does not reach the value."""
 import numpy as np
 import pytest
 
-from panoroom import DepthMap, GridSpec, LayoutMap, ManhattanRoom, SceneSpec, SegMap
+from panoroom import (
+    DepthMap,
+    GridSpec,
+    LayoutMap,
+    ManhattanRoom,
+    NoiseSpec,
+    SceneSpec,
+    SegMap,
+    corrupt_depth,
+    denoise_depth,
+    eval_metrics,
+    raycast_depth,
+)
 
 from conftest import make_scene
 
@@ -37,3 +49,18 @@ def test_caller_writes_do_not_reach_the_value(name):
     assert np.array_equal(held, array)
     assert held.dtype == np.float64 and not held.flags.writeable
     assert not np.shares_memory(held, caller)
+
+
+def test_a_fortran_ordered_map_is_held_row_major():
+    grid = GridSpec(width=128, height=64)
+    scene = make_scene(4, boxes=(1, 3))
+    gt = raycast_depth(scene, grid, include_foreground=True)
+    bg = raycast_depth(scene, grid, include_foreground=False)
+    noisy = corrupt_depth(gt, NoiseSpec(seed=9)).values
+    fortran = [DepthMap(grid=grid, values=np.asfortranarray(v)) for v in (noisy, bg.values)]
+    assert all(m.values.flags.c_contiguous for m in fortran)
+    c_order = [DepthMap(grid=grid, values=v) for v in (noisy, bg.values)]
+    out_f = denoise_depth(*fortran, scene.room, grid).values
+    out_c = denoise_depth(*c_order, scene.room, grid).values
+    assert out_f.tobytes() == out_c.tobytes()
+    assert eval_metrics(fortran[0], gt) == eval_metrics(c_order[0], gt)
