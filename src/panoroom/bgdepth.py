@@ -84,10 +84,11 @@ class DepthMap(_GridMap):
 
     @staticmethod
     def _check(v: np.ndarray) -> None:
-        """The value checks of public construction."""
-        if not np.all(np.isfinite(v)):
+        """The value checks of public construction; a NaN spreads into both ends."""
+        lo, hi = v.min(), v.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueRangeError("depth values must be finite")
-        if np.any(v < 0):
+        if lo < 0:
             raise ValueRangeError("depth values must be >= 0")
 
 

@@ -27,6 +27,10 @@ def _load(cls, path: str):
     return cls(grid=GridSpec(width=values.shape[1], height=values.shape[0]), values=values)
 
 
+# one write set per scene: no file replaces its path until all five are written
+_SCENE_FILES = ("gt.pfm", "bg_gt.pfm", "segmask.pfm", "layout.json", "scene.json")
+
+
 def _cmd_synth(args) -> int:
     if args.count < 1:
         raise ValueRangeError(f"--count must be >= 1, got {args.count}")
@@ -39,18 +43,15 @@ def _cmd_synth(args) -> int:
         scene_dir = os.path.join(args.out_dir, f"scene_{i:03d}")
         os.makedirs(scene_dir, exist_ok=True)
         layout = room_to_layout(scene.room, grid)
-        # the three maps are rendered and written a row band at a time. The
-        # JSON files follow them, so a scene that fails while its maps are
-        # rendered or written leaves all five files of the previous scene.
-        formats._write_pfms(
-            [os.path.join(scene_dir, n) for n in ("gt.pfm", "bg_gt.pfm", "segmask.pfm")],
-            grid.shape,
-            ((rows, maps) for rows, *maps in synth._render_bands(scene, grid, scene.boxes)),
-        )
-        formats.write_json(
-            formats.layout_to_dict(layout, grid), os.path.join(scene_dir, "layout.json")
-        )
-        formats.write_json(formats.scene_to_dict(scene), os.path.join(scene_dir, "scene.json"))
+        paths = [os.path.join(scene_dir, n) for n in _SCENE_FILES]
+        with formats._atomic_files(paths) as (*pfm_files, layout_file, scene_file):
+            formats._write_pfms(
+                pfm_files,
+                grid.shape,
+                ((rows, maps) for rows, *maps in synth._render_bands(scene, grid, scene.boxes)),
+            )
+            layout_file.write(formats._json_bytes(formats.layout_to_dict(layout, grid)))
+            scene_file.write(formats._json_bytes(formats.scene_to_dict(scene)))
     return 0
 
 
@@ -94,7 +95,8 @@ def _cmd_eval(args) -> int:
     gt = _load(DepthMap, args.gt)
     mask = _load(SegMap, args.mask) if args.mask else None
     report = metrics.eval_metrics(pred, gt, mask)
-    formats._atomic_write(args.json, ((report.to_json() + "\n").encode("ascii"),))
+    with formats._atomic_files([args.json]) as (f,):
+        f.write((report.to_json() + "\n").encode("ascii"))
     return 0
 
 

@@ -9,7 +9,6 @@ see a partial file.
 
 from __future__ import annotations
 
-import itertools
 import json
 import operator
 import os
@@ -17,7 +16,6 @@ import queue
 import re
 import stat
 import threading
-from collections.abc import Iterable
 from contextlib import ExitStack, contextmanager
 
 import numpy as np
@@ -134,11 +132,11 @@ if hasattr(os, "register_at_fork"):
 def _atomic_files(paths):
     """Open a temp file beside each of ``paths`` for binary writing.
 
-    When the block completes, each temp file replaces its path, and the
-    file it replaces is freed on the closer (``_Closer``); if the block
-    raises, every temp file is removed and each path keeps whatever it
-    held before. The temp files are created with mode 0666 less the umask,
-    as ``open()`` creates a file.
+    When the block completes, each temp file replaces its path, in the
+    order of ``paths``, and the file it replaces is freed on the closer
+    (``_Closer``); if the block raises, every temp file is removed and each
+    path keeps whatever it held before. The temp files are created with
+    mode 0666 less the umask, as ``open()`` creates a file.
     """
     tmps = []
     try:
@@ -160,58 +158,48 @@ def _atomic_files(paths):
         raise
 
 
-def _atomic_write(path: str, chunks: Iterable) -> None:
-    """Write the concatenated ``chunks`` (bytes-like, e.g. C-contiguous
-    arrays) to ``path`` via a temp file + rename (``_atomic_files``)."""
-    with _atomic_files([path]) as (f,):
-        for chunk in chunks:
-            f.write(chunk)
-
-
 # Payload bytes converted and written per step and file: 64 rows at
 # W = 1024. Writing a 2 MiB map in 16-row pieces cost ~0.7 ms more than
 # one write; 64 to 128 rows were within noise of one write (2-CPU x86).
 PFM_CHUNK_BYTES = 1 << 18
 
 
-def _write_pfms(paths, shape, bands) -> None:
-    """Write maps of ``shape`` (H, W) as little-endian grayscale PFMs, one
-    per path, from ``bands``: ``(rows, arrays)`` pairs, one array per path
-    holding the map's rows ``rows``, in row order from the top.
+def _write_pfms(files, shape, bands) -> None:
+    """Write maps of ``shape`` (H, W) as little-endian grayscale PFMs onto
+    ``files``, binary files open at offset 0 (from ``_atomic_files``), from
+    ``bands``: ``(rows, arrays)`` pairs, one array per file holding the
+    map's rows ``rows``, in row order from the top.
 
     PFM rows run bottom to top, so rows are gathered into fixed chunks of
     ~``PFM_CHUNK_BYTES``, converted to float32 there in file order, and each
-    full chunk is written at its place in the payload. Every file replaces
-    its path only after the last band; a band that raises, or a failed
-    write, leaves every path as it was. A finite value beyond the float32
-    range is ``ValueRangeError``; inf and NaN are kept.
+    full chunk is written at its place in the payload. A finite value
+    beyond the float32 range is ``ValueRangeError``; inf and NaN are kept.
     """
     h, w = shape
     header = f"Pf\n{w} {h}\n-1.0\n".encode("ascii")
     step = max(1, PFM_CHUNK_BYTES // max(1, 4 * w))
-    chunk = np.empty((len(paths), min(step, h), w), dtype="<f4")
-    with _atomic_files(paths) as files:
-        for f in files:
-            f.write(header)
-        done = 0  # rows converted so far
-        for rows, arrays in bands:
-            while done < rows.stop:
-                # the chunk of rows [c0, c1) holds them bottom-up, as the file
-                c0 = done - done % step
-                c1 = min(c0 + step, h)
-                r1 = min(rows.stop, c1)
-                try:
-                    with np.errstate(over="raise"):
-                        for out, arr in zip(chunk, arrays):
-                            piece = arr[done - rows.start : r1 - rows.start]
-                            np.copyto(out[c1 - r1 : c1 - done], piece[::-1])
-                except FloatingPointError:
-                    raise ValueRangeError("value beyond the float32 range of a PFM") from None
-                done = r1
-                if done == c1:
-                    for f, out in zip(files, chunk):
-                        f.seek(len(header) + (h - c1) * w * 4)
-                        f.write(out[: c1 - c0])
+    chunk = np.empty((len(files), min(step, h), w), dtype="<f4")
+    for f in files:
+        f.write(header)
+    done = 0  # rows converted so far
+    for rows, arrays in bands:
+        while done < rows.stop:
+            # the chunk of rows [c0, c1) holds them bottom-up, as the file
+            c0 = done - done % step
+            c1 = min(c0 + step, h)
+            r1 = min(rows.stop, c1)
+            try:
+                with np.errstate(over="raise"):
+                    for out, arr in zip(chunk, arrays):
+                        piece = arr[done - rows.start : r1 - rows.start]
+                        np.copyto(out[c1 - r1 : c1 - done], piece[::-1])
+            except FloatingPointError:
+                raise ValueRangeError("value beyond the float32 range of a PFM") from None
+            done = r1
+            if done == c1:
+                for f, out in zip(files, chunk):
+                    f.seek(len(header) + (h - c1) * w * 4)
+                    f.write(out[: c1 - c0])
 
 
 def _map_2d(values, writer: str) -> np.ndarray:
@@ -226,7 +214,8 @@ def _map_2d(values, writer: str) -> np.ndarray:
 def write_pfm(values: np.ndarray, path: str) -> None:
     """Write an H x W map as a little-endian grayscale PFM."""
     arr = _map_2d(values, "PFM")
-    _write_pfms([path], arr.shape, [(slice(0, arr.shape[0]), (arr,))])
+    with _atomic_files([path]) as files:
+        _write_pfms(files, arr.shape, [(slice(0, arr.shape[0]), (arr,))])
 
 
 # far above any legitimate magic, dimension or scale token
@@ -336,9 +325,15 @@ def _json_text(obj, indent: str) -> str:
     return json.dumps(obj)
 
 
+def _json_bytes(obj) -> bytes:
+    """``json.dumps(obj, indent=2)`` and a newline, as the file's bytes."""
+    return (_json_text(obj, "") + "\n").encode("ascii")
+
+
 def write_json(obj, path: str) -> None:
     """Write ``obj`` as ``json.dumps(obj, indent=2)`` and a newline."""
-    _atomic_write(path, ((_json_text(obj, "") + "\n").encode("ascii"),))
+    with _atomic_files([path]) as (f,):
+        f.write(_json_bytes(obj))
 
 
 def layout_to_dict(layout: LayoutMap, grid: GridSpec) -> dict:
@@ -539,9 +534,8 @@ def write_ply_pointcloud(depth_values: np.ndarray, path: str) -> None:
         f"ply\nformat ascii 1.0\nelement vertex {np.count_nonzero(depth_values > 0)}\n"
         "property float x\nproperty float y\nproperty float z\nend_header\n"
     ).encode("ascii")
-    body = (
-        _format_points(pts[i : i + PLY_CHUNK_POINTS])
-        for pts in _unproject_bands(depth_values, grid)
-        for i in range(0, len(pts), PLY_CHUNK_POINTS)
-    )
-    _atomic_write(path, itertools.chain((header,), body))
+    with _atomic_files([path]) as (f,):
+        f.write(header)
+        for pts in _unproject_bands(depth_values, grid):
+            for i in range(0, len(pts), PLY_CHUNK_POINTS):
+                f.write(_format_points(pts[i : i + PLY_CHUNK_POINTS]))

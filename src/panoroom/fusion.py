@@ -25,8 +25,8 @@ class SegMap(_GridMap):
 
     @staticmethod
     def _check(v: np.ndarray) -> None:
-        """The value checks of public construction."""
-        if np.any(v < 0) or np.any(v > 1) or not np.all(np.isfinite(v)):
+        """The value checks of public construction; a NaN spreads into both ends."""
+        if not (0 <= v.min() and v.max() <= 1):
             raise ValueRangeError("segmentation values must lie in [0, 1]")
 
 

@@ -422,7 +422,8 @@ def test_loaded_maps_are_read_only_float64(tmp_path):
 def test_public_construction_from_float32_makes_one_array(cls):
     """Public construction from a float32 1024 x 512 map, as the loaders
     get one from a PFM, widens it once: its traced allocations peak below
-    5 MiB, the 4 MiB float64 copy and the range check's 0.5 MiB masks."""
+    4.1 MiB, the 4 MiB float64 copy, as the range check takes the map's
+    minimum and maximum without a whole-map mask."""
     grid = equirect.GridSpec(width=1024, height=512)
     values = np.full(grid.shape, 0.5, dtype=np.float32)
     tracemalloc.start()
@@ -432,12 +433,13 @@ def test_public_construction_from_float32_makes_one_array(cls):
     finally:
         tracemalloc.stop()
     assert loaded.values.dtype == np.float64 and np.array_equal(loaded.values, values)
-    assert peak < 5 * 2**20
+    assert peak < 4.1 * 2**20
 
 
 # --- synth renders and writes its three maps band by band --------------------
 
 MAPS = ("gt.pfm", "bg_gt.pfm", "segmask.pfm")
+SCENE_FILES = MAPS + ("layout.json", "scene.json")
 
 
 def synth_argv(out_dir, seed):
@@ -448,7 +450,7 @@ def synth_argv(out_dir, seed):
 
 def files_of(scene_dir):
     """The bytes of all five files of a scene."""
-    return {n: (scene_dir / n).read_bytes() for n in MAPS + ("layout.json", "scene.json")}
+    return {n: (scene_dir / n).read_bytes() for n in SCENE_FILES}
 
 
 def test_non_finite_shell_mid_stream_leaves_every_map(tmp_path, capsys, monkeypatch):
@@ -495,7 +497,7 @@ class FullDisk:
         self.f.close()
 
 
-@pytest.mark.parametrize("failing", MAPS)
+@pytest.mark.parametrize("failing", SCENE_FILES)
 def test_failed_band_write_leaves_every_map(tmp_path, capsys, monkeypatch, failing):
     assert run(synth_argv(tmp_path, 5)) == 0
     scene_dir = tmp_path / "scene_000"
@@ -505,11 +507,12 @@ def test_failed_band_write_leaves_every_map(tmp_path, capsys, monkeypatch, faili
 
     def fdopen(fd, mode):
         opened.append(real(fd, mode))
-        # the maps are opened first, in MAPS order. The failing map takes
+        # the files are opened in SCENE_FILES order. A failing map takes
         # its header and first chunk, and the disk fills on its last chunk,
-        # after every other map has written its first.
-        if len(opened) == 1 + MAPS.index(failing):
-            return FullDisk(opened[-1], writes=2)
+        # after every other map has written its first; a JSON file's one
+        # write fails, after all three maps are written.
+        if len(opened) == 1 + SCENE_FILES.index(failing):
+            return FullDisk(opened[-1], writes=2 if failing in MAPS else 0)
         return opened[-1]
 
     monkeypatch.setattr(os, "fdopen", fdopen)
@@ -517,6 +520,19 @@ def test_failed_band_write_leaves_every_map(tmp_path, capsys, monkeypatch, faili
     assert_one_error_line(capsys, rc, "io")
     assert files_of(scene_dir) == before
     assert not list(scene_dir.glob("*.tmp"))
+
+
+def test_scene_files_replace_their_paths_in_order_once_all_are_written(tmp_path, monkeypatch):
+    replace = os.replace
+    calls = []  # (file name, temp files beside it) at each rename
+
+    def record(src, dst):
+        calls.append((os.path.basename(dst), len(list((tmp_path / "scene_000").glob("*.tmp")))))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", record)
+    assert run(synth_argv(tmp_path, 5)) == 0
+    assert calls == [(name, len(SCENE_FILES) - i) for i, name in enumerate(SCENE_FILES)]
 
 
 @pytest.mark.parametrize(

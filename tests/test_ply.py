@@ -141,7 +141,9 @@ def test_streamed_write_failure_leaves_target_untouched(tmp_path, existing):
     if existing is not None:
         path.write_bytes(existing)
     with pytest.raises(Boom):
-        formats._atomic_write(str(path), failing_chunks())
+        with formats._atomic_files([str(path)]) as (f,):
+            for chunk in failing_chunks():
+                f.write(chunk)
     if existing is None:
         assert not path.exists()
     else:

@@ -119,11 +119,17 @@ def test_a_stalled_closer_holds_no_more_than_the_bound(tmp_path, stall):
     assert read_json(path) == bound + 5
 
 
+def write_pfms(paths, shape, bands):
+    """``formats._write_pfms`` onto one ``formats._atomic_files`` set over ``paths``."""
+    with formats._atomic_files(paths) as files:
+        formats._write_pfms(files, shape, bands)
+
+
 def test_a_failed_replace_holds_nothing_and_leaves_no_temp_file(tmp_path, monkeypatch, stall):
     assert drained()
     start = fd_count()
     paths = [str(tmp_path / f"{name}.pfm") for name in "abc"]
-    formats._write_pfms(paths, (2, 4), [(slice(0, 2), (np.zeros((2, 4)),) * 3)])
+    write_pfms(paths, (2, 4), [(slice(0, 2), (np.zeros((2, 4)),) * 3)])
     old = [Path(p).read_bytes() for p in paths]
     replace = os.replace
     calls = []
@@ -136,7 +142,7 @@ def test_a_failed_replace_holds_nothing_and_leaves_no_temp_file(tmp_path, monkey
 
     monkeypatch.setattr(os, "replace", second_fails)
     with pytest.raises(OSError):
-        formats._write_pfms(paths, (2, 4), [(slice(0, 2), (np.ones((2, 4)),) * 3)])
+        write_pfms(paths, (2, 4), [(slice(0, 2), (np.ones((2, 4)),) * 3)])
     monkeypatch.setattr(os, "replace", replace)
     assert calls == paths[:2]
     assert not list(tmp_path.glob("*.tmp"))

@@ -1,6 +1,8 @@
 """Value types copy a caller's arrays once and never alias them: a write
 to the caller's array after construction does not reach the value."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from panoroom import (
     eval_metrics,
     raycast_depth,
 )
+
+from panoroom.errors import ValueRangeError
 
 from conftest import make_scene
 
@@ -64,3 +68,40 @@ def test_a_fortran_ordered_map_is_held_row_major():
     out_c = denoise_depth(*c_order, scene.room, grid).values
     assert out_f.tobytes() == out_c.tobytes()
     assert eval_metrics(fortran[0], gt) == eval_metrics(c_order[0], gt)
+
+
+DEPTH_RANGE = "^depth values must be >= 0$"
+DEPTH_FINITE = "^depth values must be finite$"
+SEG_RANGE = r"^segmentation values must lie in \[0, 1\]$"
+
+
+@pytest.mark.parametrize(
+    "cls, bad, message",
+    [
+        (DepthMap, [math.nan], DEPTH_FINITE),
+        (DepthMap, [math.inf], DEPTH_FINITE),
+        (DepthMap, [-math.inf], DEPTH_FINITE),
+        (DepthMap, [-1.0], DEPTH_RANGE),
+        (DepthMap, [-1.0, math.nan], DEPTH_FINITE),
+        (DepthMap, [-0.0], None),
+        (SegMap, [math.nan], SEG_RANGE),
+        (SegMap, [math.inf], SEG_RANGE),
+        (SegMap, [-math.inf], SEG_RANGE),
+        (SegMap, [-1e-300], SEG_RANGE),
+        (SegMap, [1.0 + 2**-52], SEG_RANGE),
+        (SegMap, [-0.0, 1.0], None),
+    ],
+    ids=["depth-nan", "depth-inf", "depth-neg-inf", "depth-negative", "depth-negative-and-nan",
+         "depth-neg-zero", "seg-nan", "seg-inf", "seg-neg-inf", "seg-negative", "seg-above-one",
+         "seg-neg-zero-and-one"],
+)
+def test_public_construction_checks_the_range(cls, bad, message):
+    """One bad value anywhere in a map is refused with its message; -0.0
+    passes as 0."""
+    values = np.full(GRID.shape, 0.5)
+    values.flat[5 : 5 + len(bad)] = bad
+    if message is None:
+        assert np.array_equal(cls(grid=GRID, values=values).values, values)
+        return
+    with pytest.raises(ValueRangeError, match=message):
+        cls(grid=GRID, values=values)
