@@ -18,7 +18,6 @@ from .bgdepth import DepthMap
 from .equirect import GridSpec
 from .errors import PanoroomError, UsageError, ValueRangeError
 from .fusion import SegMap
-from .layout import room_to_layout
 
 
 def _load(cls, path: str):
@@ -27,31 +26,14 @@ def _load(cls, path: str):
     return cls(grid=GridSpec(width=values.shape[1], height=values.shape[0]), values=values)
 
 
-# one write set per scene: no file replaces its path until all five are written
-_SCENE_FILES = ("gt.pfm", "bg_gt.pfm", "segmask.pfm", "layout.json", "scene.json")
-
-
 def _cmd_synth(args) -> int:
     if args.count < 1:
         raise ValueRangeError(f"--count must be >= 1, got {args.count}")
     grid = GridSpec(width=2 * args.height, height=args.height)
     config = synth.SceneConfig(plan=args.plan, box_count_range=tuple(args.boxes))
-    os.makedirs(args.out_dir, exist_ok=True)
     for i in range(args.count):
-        scene_seed = (args.seed + i) % 2**64
-        scene = synth.generate_scene(scene_seed, config)
-        scene_dir = os.path.join(args.out_dir, f"scene_{i:03d}")
-        os.makedirs(scene_dir, exist_ok=True)
-        layout = room_to_layout(scene.room, grid)
-        paths = [os.path.join(scene_dir, n) for n in _SCENE_FILES]
-        with formats._atomic_files(paths) as (*pfm_files, layout_file, scene_file):
-            formats._write_pfms(
-                pfm_files,
-                grid.shape,
-                ((rows, maps) for rows, *maps in synth._render_bands(scene, grid, scene.boxes)),
-            )
-            layout_file.write(formats._json_bytes(formats.layout_to_dict(layout, grid)))
-            scene_file.write(formats._json_bytes(formats.scene_to_dict(scene)))
+        scene = synth.generate_scene(args.seed + i, config)
+        formats.write_scene(scene, grid, os.path.join(args.out_dir, f"scene_{i:03d}"))
     return 0
 
 

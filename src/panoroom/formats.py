@@ -1,4 +1,4 @@
-"""File formats: PFM float maps, JSON layouts/rooms/scenes, ASCII PLY.
+"""File formats: PFM float maps, JSON layouts/rooms/scenes, ASCII PLY, whole scenes.
 
 PFM layout follows the portable-float-map convention: ``Pf`` magic, a
 ``W H`` dimensions line, a scale line whose sign encodes byte order
@@ -30,8 +30,8 @@ from .errors import (
     ShapeMismatchError,
     ValueRangeError,
 )
-from .layout import LayoutMap, ManhattanRoom
-from .synth import SceneSpec
+from .layout import LayoutMap, ManhattanRoom, room_to_layout
+from .synth import SceneSpec, render_bands
 
 
 _O_BINARY = getattr(os, "O_BINARY", 0)
@@ -428,6 +428,24 @@ def scene_to_dict(scene: SceneSpec) -> dict:
     d["boxes"] = [{"min": b[:3], "max": b[3:]} for b in scene.boxes.tolist()]
     d["seed"] = int(scene.seed)
     return d
+
+
+# a scene's files, in the order they are written and renamed
+_SCENE_FILES = ("gt.pfm", "bg_gt.pfm", "segmask.pfm", "layout.json", "scene.json")
+
+
+def write_scene(scene: SceneSpec, grid: GridSpec, scene_dir: str) -> None:
+    """Write ``scene`` at ``grid`` into ``scene_dir``, created if missing, as
+    one ``_atomic_files`` set of ``_SCENE_FILES``: the three maps of one
+    ``render_bands`` pass, then the layout and the scene as JSON."""
+    layout = room_to_layout(scene.room, grid)
+    os.makedirs(scene_dir, exist_ok=True)
+    paths = [os.path.join(scene_dir, n) for n in _SCENE_FILES]
+    with _atomic_files(paths) as (*pfm_files, layout_file, scene_file):
+        bands = ((rows, maps) for rows, *maps in render_bands(scene, grid, scene.boxes))
+        _write_pfms(pfm_files, grid.shape, bands)
+        layout_file.write(_json_bytes(layout_to_dict(layout, grid)))
+        scene_file.write(_json_bytes(scene_to_dict(scene)))
 
 
 def read_json(path: str) -> dict:

@@ -183,7 +183,7 @@ def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneSpec:
     return SceneSpec(room=room, boxes=boxes, seed=int(seed))
 
 
-def _render_bands(scene: SceneSpec, grid: GridSpec, boxes):
+def render_bands(scene: SceneSpec, grid: GridSpec, boxes):
     """Render ``scene`` one row band (``bgdepth._row_bands``) at a time.
 
     Yields ``(rows, depth, shell, mask)`` per band, top to bottom: the
@@ -242,7 +242,7 @@ def raycast_depth(scene: SceneSpec, grid: GridSpec, include_foreground: bool = T
     """Exact radial distance to the first surface hit at every pixel center."""
     boxes = scene.boxes if include_foreground else ()
     out = np.empty(grid.shape)
-    for rows, depth, _, _ in _render_bands(scene, grid, boxes):
+    for rows, depth, _, _ in render_bands(scene, grid, boxes):
         out[rows] = depth
     return DepthMap._own(grid, out)
 
@@ -257,7 +257,7 @@ def render_scene(scene: SceneSpec, grid: GridSpec) -> tuple[DepthMap, DepthMap, 
     depth, mask = np.empty(grid.shape), np.empty(grid.shape)
     # without boxes both renders are one map
     shell = np.empty(grid.shape) if len(scene.boxes) else depth
-    for rows, d, s, m in _render_bands(scene, grid, scene.boxes):
+    for rows, d, s, m in render_bands(scene, grid, scene.boxes):
         depth[rows] = d
         shell[rows] = s
         mask[rows] = m
@@ -267,7 +267,7 @@ def render_scene(scene: SceneSpec, grid: GridSpec) -> tuple[DepthMap, DepthMap, 
 def gt_background_mask(scene: SceneSpec, grid: GridSpec) -> SegMap:
     """1 where renders with and without foreground agree within ``_MASK_EPS``."""
     mask = np.empty(grid.shape)
-    for rows, _, _, m in _render_bands(scene, grid, scene.boxes):
+    for rows, _, _, m in render_bands(scene, grid, scene.boxes):
         mask[rows] = m
     return SegMap._own(grid, mask)
 

@@ -358,6 +358,29 @@ def test_synth_count_below_one_is_value_range(tmp_path, capsys, count):
     assert not (tmp_path / "s").exists()
 
 
+def test_synth_negative_seed_is_value_range(tmp_path, capsys):
+    rc = run(["synth", "--seed", -1, "--count", 1, "--out-dir", tmp_path / "s", "--height", 16])
+    assert_one_error_line(capsys, rc, "value-range")
+    assert not (tmp_path / "s").exists()
+
+
+def scene_seeds(out_dir):
+    return [json.loads(p.read_text())["seed"] for p in sorted(out_dir.glob("scene_*/scene.json"))]
+
+
+def test_synth_seed_beyond_64_bits_is_its_own_scene(tmp_path):
+    synth_tree(tmp_path / "big", seed=2**64, count=1, height=16)
+    synth_tree(tmp_path / "zero", seed=0, count=1, height=16)
+    assert scene_seeds(tmp_path / "big") == [2**64]
+    gt = [(tmp_path / d / "scene_000" / "gt.pfm").read_bytes() for d in ("big", "zero")]
+    assert gt[0] != gt[1]
+
+
+def test_synth_seeds_run_past_64_bits(tmp_path):
+    synth_tree(tmp_path / "s", seed=2**64 - 1, count=2, height=16)
+    assert scene_seeds(tmp_path / "s") == [2**64 - 1, 2**64]
+
+
 def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 

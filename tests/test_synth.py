@@ -14,9 +14,9 @@ from panoroom import (
     raycast_depth,
     render_scene,
 )
-from panoroom import synth
+from panoroom import formats, synth
 from panoroom.errors import PanoroomError, PlacementError, ValueRangeError
-from panoroom.layout import ManhattanRoom
+from panoroom.layout import ManhattanRoom, room_to_layout
 from panoroom.synth import SceneSpec
 from panoroom.formats import scene_to_dict
 
@@ -318,3 +318,25 @@ def test_non_finite_shell_is_value_range(monkeypatch, bad):
         with pytest.raises(ValueRangeError, match="depth values must be finite"):
             render(scene, GRID)
 
+
+@pytest.mark.parametrize("height", [33, 257])
+def test_write_scene_writes_what_the_public_writers_write(tmp_path, height):
+    """``formats.write_scene``'s five files hold the bytes of ``write_pfm``
+    of each ``render_scene`` map and of ``write_json`` of the layout and
+    scene dicts, and it creates a scene directory whose parent is missing."""
+    grid = GridSpec(width=2 * height, height=height)
+    scene = generate_scene(5, SceneConfig(plan="lshape", box_count_range=(2, 4)))
+    assert len(scene.boxes) > 0
+    scene_dir = tmp_path / "new" / "scene_000"
+    formats.write_scene(scene, grid, str(scene_dir))
+
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    for name, m in zip(("gt.pfm", "bg_gt.pfm", "segmask.pfm"), render_scene(scene, grid)):
+        formats.write_pfm(m.values, str(ref / name))
+    formats.write_json(formats.layout_to_dict(room_to_layout(scene.room, grid), grid),
+                       str(ref / "layout.json"))
+    formats.write_json(scene_to_dict(scene), str(ref / "scene.json"))
+    assert sorted(p.name for p in scene_dir.iterdir()) == sorted(p.name for p in ref.iterdir())
+    for p in ref.iterdir():
+        assert (scene_dir / p.name).read_bytes() == p.read_bytes(), p.name
