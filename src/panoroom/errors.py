@@ -16,11 +16,11 @@ class ShapeMismatchError(PanoroomError, ValueError):
 
 
 class ValueRangeError(PanoroomError, ValueError):
-    """A value lies outside its allowed range: a non-finite or negative
-    depth, a probability outside [0, 1], a boundary row outside its half of
-    the image, a non-positive slack, threshold or size, a grid taller than
-    the supported bound, or a finite value beyond the float32 range of a
-    PFM."""
+    """A value lies outside its allowed range: a non-finite or negative depth, a
+    camera height that is non-finite or not above 0, a non-finite floor-plan vertex,
+    a probability outside [0, 1], a boundary row outside its half of the image, a
+    non-positive slack, threshold or size, a grid taller than the supported bound,
+    or a finite value beyond the float32 range of a PFM."""
 
     code = "value-range"
 

@@ -116,11 +116,8 @@ class ManhattanRoom:
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 4:
             raise PolygonError("floor plan needs at least 4 (x, y) vertices")
         if not np.all(np.isfinite(v)):
-            raise PolygonError("floor plan vertices must be finite")
-        if not np.isfinite(self.cam_to_floor) or self.cam_to_floor <= 0:
-            raise PolygonError("cam_to_floor must be finite and > 0")
-        if not np.isfinite(self.cam_to_ceil) or self.cam_to_ceil <= 0:
-            raise PolygonError("cam_to_ceil must be finite and > 0")
+            raise ValueRangeError("floor plan vertices must be finite")
+        self.heights  # CameraHeights holds the one height rule
         if not is_simple_polygon(v):
             raise PolygonError("floor plan polygon is self-intersecting")
         if signed_area(v) <= 0:

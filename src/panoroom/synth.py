@@ -78,8 +78,10 @@ class SceneConfig:
         if self.plan not in ("rect", "lshape"):
             raise ValueRangeError(f"plan must be 'rect' or 'lshape', got {self.plan!r}")
         lo, hi = self.box_count_range
-        if lo < 0 or hi < lo:
-            raise ValueRangeError("box_count_range must be a nonempty nonnegative range")
+        if not (_is_int(lo) and _is_int(hi) and 0 <= lo <= hi):
+            raise ValueRangeError(
+                f"box_count_range must be two integers 0 <= lo <= hi, got {self.box_count_range!r}"
+            )
         if hi > MAX_BOXES:
             raise ValueRangeError(f"box_count_range may not exceed {MAX_BOXES} boxes, got {hi}")
 

@@ -233,8 +233,9 @@ def test_bg_beyond_float32_is_value_range(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["coarse.pfm", "layout.json"]
 
 
-def denoise_with_slack(tmp_path, slack, cam_to_floor=1.5, x_max=1, clockwise=False):
-    vertices = [[-1, -1], [x_max, -1], [x_max, 1], [-1, 1]]
+def denoise_with_slack(tmp_path, slack, cam_to_floor=1.5, x_max=1, clockwise=False,
+                       vertex=(-1, -1)):
+    vertices = [list(vertex), [x_max, -1], [x_max, 1], [-1, 1]]
     room = tmp_path / "room.json"
     room.write_text(json.dumps(
         {"vertices": vertices[::-1] if clockwise else vertices,
@@ -259,6 +260,10 @@ def denoise_with_slack(tmp_path, slack, cam_to_floor=1.5, x_max=1, clockwise=Fal
         (lambda p: denoise_with_slack(p, "nan"), "value-range"),
         (lambda p: denoise_with_slack(p, 1.0, cam_to_floor=10**400), "value-range"),
         (lambda p: denoise_with_slack(p, 1.0, x_max=10**400), "value-range"),
+        (lambda p: denoise_with_slack(p, 1.0, cam_to_floor=float("inf")), "value-range"),
+        (lambda p: denoise_with_slack(p, 1.0, cam_to_floor=-1), "value-range"),
+        (lambda p: denoise_with_slack(p, 1.0, cam_to_floor=float("nan")), "value-range"),
+        (lambda p: denoise_with_slack(p, 1.0, vertex=(float("inf"), -1)), "value-range"),
         (lambda p: ["fuse", "--coarse", write_flat_pfm(p / "c.pfm"), "--bg", p / "c.pfm",
                     "--seg", write_pfm_holding(p / "s.pfm", 1.5), "--out", p / "o.pfm"],
          "value-range"),
@@ -289,6 +294,7 @@ def denoise_with_slack(tmp_path, slack, cam_to_floor=1.5, x_max=1, clockwise=Fal
     ],
     ids=["pfm-nan", "pfm-negative", "layout-8x8", "corner-prob-2", "ceil-rows",
          "slack-negative", "slack-nan", "room-height-overflow", "room-vertex-overflow",
+         "room-height-inf", "room-height-negative", "room-height-nan", "room-vertex-inf",
          "seg-above-1", "gamma-negative", "gamma-nan",
          "boxes-reversed", "boxes-beyond-int64", "boxes-over-bound", "synth-height-over-bound",
          "layout-over-bound", "pfm-magic",

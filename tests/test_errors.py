@@ -43,6 +43,7 @@ SCENE = make_scene(0)
 LAYOUT = room_to_layout(SCENE.room, GRID)
 COARSE = DepthMap(grid=GRID, values=np.ones(GRID.shape))
 HEIGHTS = CameraHeights(up=1.0, down=1.5)
+SQUARE = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
 
 
 @pytest.mark.parametrize(
@@ -90,6 +91,18 @@ HEIGHTS = CameraHeights(up=1.0, down=1.5)
         (lambda: generate_scene(True), "value-range"),
         (lambda: NoiseSpec(seed=1.5), "value-range"),
         (lambda: NoiseSpec(seed=True), "value-range"),
+        (lambda: ManhattanRoom(SQUARE, cam_to_floor=0.0, cam_to_ceil=1.0), "value-range"),
+        (lambda: ManhattanRoom(SQUARE, cam_to_floor=-1.0, cam_to_ceil=1.0), "value-range"),
+        (lambda: ManhattanRoom(SQUARE, cam_to_floor=math.nan, cam_to_ceil=1.0), "value-range"),
+        (lambda: ManhattanRoom(SQUARE, cam_to_floor=math.inf, cam_to_ceil=1.0), "value-range"),
+        (lambda: ManhattanRoom(SQUARE, cam_to_floor=1.5, cam_to_ceil=-1.0), "value-range"),
+        (lambda: ManhattanRoom([[math.nan, -1.0]] + SQUARE[1:], 1.5, 1.0), "value-range"),
+        (lambda: ManhattanRoom([[math.inf, -1.0]] + SQUARE[1:], 1.5, 1.0), "value-range"),
+        (lambda: SceneConfig(box_count_range=(0.5, 2)), "value-range"),
+        (lambda: SceneConfig(box_count_range=("0", "3")), "value-range"),
+        (lambda: SceneConfig(box_count_range=(None, 2)), "value-range"),
+        (lambda: SceneConfig(box_count_range=(True, 2)), "value-range"),
+        (lambda: SceneConfig(box_count_range=(0, math.nan)), "value-range"),
     ],
     ids=["focal-alpha", "focal-eta", "loss-weight", "loss-term", "mode", "box-extent",
          "noise-fraction", "noise-sum", "noise-offset", "plan", "box-count", "pfm-3d",
@@ -98,7 +111,10 @@ HEIGHTS = CameraHeights(up=1.0, down=1.5)
          "spec-seed", "noise-offset-nan", "noise-offset-inf", "focal-eta-nan", "focal-eta-inf",
          "loss-weight-nan", "loss-weight-inf", "grid-float", "grid-bool", "box-size",
          "box-ragged", "spec-seed-float", "spec-seed-bool", "scene-seed-float",
-         "scene-seed-str", "scene-seed-bool", "noise-seed-float", "noise-seed-bool"],
+         "scene-seed-str", "scene-seed-bool", "noise-seed-float", "noise-seed-bool",
+         "room-floor-zero", "room-floor-negative", "room-floor-nan", "room-floor-inf",
+         "room-ceil-negative", "room-vertex-nan", "room-vertex-inf", "box-count-float",
+         "box-count-str", "box-count-none", "box-count-bool", "box-count-nan"],
 )
 def test_library_errors_carry_a_code(call, code, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
