@@ -55,7 +55,7 @@ class _GridMap:
     _noun = ""  # names the map in the shape error
 
     def __post_init__(self):
-        v = _readonly(self.values)
+        v = _readonly(self.values, f"{self._noun} values")
         if v.shape != self.grid.shape:
             raise ShapeMismatchError(f"{self._noun} values {v.shape} != grid {self.grid.shape}")
         self._check(v)
@@ -104,7 +104,7 @@ def require_same_grid(*maps) -> GridSpec:
 
 
 def _check_mode(mode: str) -> None:
-    if mode not in RESOLVE_MODES:
+    if not (isinstance(mode, str) and mode in RESOLVE_MODES):
         raise ValueRangeError(f"mode must be one of {RESOLVE_MODES}, got {mode!r}")
 
 
@@ -217,7 +217,7 @@ def resolve_camera_heights(
     down_valid = down[np.isfinite(down)]
     if len(up_valid) == 0 or len(down_valid) == 0:
         raise NoValidSamplesError("no column produced a valid boundary depth sample")
-    return CameraHeights(up=float(np.median(up_valid)), down=float(np.median(down_valid)))
+    return CameraHeights(up=np.median(up_valid), down=np.median(down_valid))
 
 
 def resolve_background_depth(

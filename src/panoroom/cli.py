@@ -15,8 +15,8 @@ import sys
 
 from . import bgdepth, denoise, formats, fusion, metrics, synth
 from .bgdepth import DepthMap
-from .equirect import GridSpec
-from .errors import PanoroomError, UsageError, ValueRangeError
+from .equirect import GridSpec, _int
+from .errors import PanoroomError, UsageError
 from .fusion import SegMap
 
 
@@ -27,11 +27,10 @@ def _load(cls, path: str):
 
 
 def _cmd_synth(args) -> int:
-    if args.count < 1:
-        raise ValueRangeError(f"--count must be >= 1, got {args.count}")
+    count = _int("--count", args.count, 1)
     grid = GridSpec(width=2 * args.height, height=args.height)
-    config = synth.SceneConfig(plan=args.plan, box_count_range=tuple(args.boxes))
-    for i in range(args.count):
+    config = synth.SceneConfig(plan=args.plan, box_count_range=args.boxes)
+    for i in range(count):
         scene = synth.generate_scene(args.seed + i, config)
         formats.write_scene(scene, grid, os.path.join(args.out_dir, f"scene_{i:03d}"))
     return 0

@@ -48,8 +48,8 @@ import numpy as np
 
 from . import _kernels
 from .bgdepth import DepthMap, _row_bands, require_same_grid
-from .equirect import GridSpec, pixel_center_trig
-from .errors import ShapeMismatchError, ValueRangeError
+from .equirect import GridSpec, _real, pixel_center_trig
+from .errors import ShapeMismatchError
 from .layout import ManhattanRoom
 
 DEFAULT_SLACK = 1.0  # meters
@@ -141,8 +141,7 @@ def denoise_depth(
 ) -> DepthMap:
     """Replace missing pixels and pixels more than ``slack`` meters outside
     the room shell with the background depth."""
-    if not slack > 0:
-        raise ValueRangeError(f"slack must be > 0, got {slack}")
+    slack = _real("slack", slack, 0, ends="(]")
     require_same_grid(gt, background)
     if gt.grid != grid:
         raise ShapeMismatchError("depth map grid differs from requested grid")

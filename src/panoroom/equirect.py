@@ -17,7 +17,7 @@ formulas are :func:`row_to_lat`, :func:`lat_to_row`, :func:`col_to_lon` and
 from __future__ import annotations
 
 import functools
-import operator
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,13 +30,27 @@ from .errors import ShapeMismatchError, ValueRangeError
 _MAX_HEIGHT = 4096
 
 
-def _is_int(v) -> bool:
-    """True for what ``operator.index`` takes, bool excepted."""
+def _int(what: str, v, lo: int, hi: float = math.inf) -> int:
+    """``v`` as an int when it is a Python or numpy integer, bool excepted,
+    in [lo, hi]; anything else is ``ValueRangeError`` naming ``what``."""
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool) and lo <= v <= hi:
+        return int(v)
+    bounds = f"in [{lo}, {hi}]" if hi < math.inf else f">= {lo}"
+    raise ValueRangeError(f"{what} must be an integer {bounds}, got {v!r}")
+
+
+def _real(what: str, v, lo: float = -math.inf, hi: float = math.inf, ends: str = "()") -> float:
+    """``v`` as a float when it is a Python or numpy real number, bool excepted,
+    between ``lo`` and ``hi``, each taken (``ends`` '[', ']') or left out ('(',
+    ')'); anything else, NaN included, is ``ValueRangeError`` naming ``what``."""
+    real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
     try:
-        operator.index(v)
-    except TypeError:
-        return False
-    return not isinstance(v, bool)
+        f = float(v) if real else math.nan
+    except OverflowError:  # an integer beyond the floats
+        f = math.nan
+    if lo < f < hi or f == lo and ends[0] == "[" or f == hi and ends[1] == "]":
+        return f
+    raise ValueRangeError(f"{what} must be a real number in {ends[0]}{lo}, {hi}{ends[1]}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -48,18 +62,10 @@ class GridSpec:
     height: int
 
     def __post_init__(self):
-        if not (_is_int(self.width) and _is_int(self.height)):
-            raise ValueRangeError(
-                f"grid dimensions must be integers, got {self.width!r} x {self.height!r}"
-            )
-        if self.height <= 0 or self.width <= 0:
-            raise ValueRangeError("grid dimensions must be positive")
+        object.__setattr__(self, "width", _int("grid width", self.width, 1))
+        object.__setattr__(self, "height", _int("grid height", self.height, 1, _MAX_HEIGHT))
         if self.width != 2 * self.height:
-            raise ShapeMismatchError(
-                f"equirectangular grid needs width == 2*height, got {self.width}x{self.height}"
-            )
-        if self.height > _MAX_HEIGHT:
-            raise ValueRangeError(f"grid height must be at most {_MAX_HEIGHT}, got {self.height}")
+            raise ShapeMismatchError(f"grid width {self.width} != 2 * height {self.height}")
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -367,19 +367,17 @@ def _is_number(t: type) -> bool:
     return issubclass(t, (int, float)) and not issubclass(t, bool)
 
 
-def _number(d, key: str) -> float:
+def _number(d, key: str):
     v = _value(d, key)
     if not _is_number(type(v)):
         raise SchemaError(f"{key!r} must be a number, got {type(v).__name__}")
-    try:
-        return float(v)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueRangeError(f"{key!r} is too large for a float") from None
+    return v
 
 
 def _array(d, key: str, shape: tuple) -> np.ndarray:
-    """``d[key]`` as a float64 array whose shape matches ``shape`` (``None``
-    matches any length) and whose every element passes ``_number``'s rule."""
+    """``d[key]`` as an object array whose shape matches ``shape`` (``None``
+    matches any length) and whose every element passes ``_number``'s rule;
+    the value type that takes it converts it to floats."""
     # an object array keeps each JSON value as it is; ragged nesting leaves lists
     arr = np.array(_value(d, key), dtype=object)
     if arr.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, arr.shape)):
@@ -390,10 +388,7 @@ def _array(d, key: str, shape: tuple) -> np.ndarray:
         raise SchemaError(f"{key!r} is a ragged array")
     if not all(map(_is_number, kinds)):
         raise SchemaError(f"{key!r} must hold only numbers")
-    try:
-        return arr.astype(np.float64)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueRangeError(f"{key!r} holds a number too large for a float") from None
+    return arr
 
 
 def layout_from_dict(d: dict) -> tuple[LayoutMap, GridSpec]:
@@ -410,8 +405,8 @@ def layout_from_dict(d: dict) -> tuple[LayoutMap, GridSpec]:
 def room_to_dict(room: ManhattanRoom) -> dict:
     return {
         "vertices": room.vertices.tolist(),
-        "cam_to_floor": float(room.cam_to_floor),
-        "cam_to_ceil": float(room.cam_to_ceil),
+        "cam_to_floor": room.cam_to_floor,
+        "cam_to_ceil": room.cam_to_ceil,
     }
 
 
@@ -426,7 +421,7 @@ def room_from_dict(d: dict) -> ManhattanRoom:
 def scene_to_dict(scene: SceneSpec) -> dict:
     d = room_to_dict(scene.room)
     d["boxes"] = [{"min": b[:3], "max": b[3:]} for b in scene.boxes.tolist()]
-    d["seed"] = int(scene.seed)
+    d["seed"] = scene.seed
     return d
 
 
@@ -452,8 +447,9 @@ def read_json(path: str) -> dict:
     with open(path, encoding="utf-8") as f:
         try:
             return json.load(f)
-        # the decoder raises RecursionError on arrays nested too deeply
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+        # ValueError covers a decode error, bad UTF-8 and an integer past Python's
+        # digit limit; the decoder raises RecursionError on arrays nested too deeply
+        except (ValueError, RecursionError) as e:
             raise SchemaError(f"not a JSON document: {e}") from None
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bgdepth import DepthMap, _GridMap, _row_bands, require_same_grid
+from .equirect import _real
 from .errors import ValueRangeError
 
 DEFAULT_SEG_GAMMA = 0.1  # meters
@@ -67,8 +68,7 @@ def derive_seg_labels(
 
     Pixels with invalid ground truth are labeled 0.
     """
-    if not gamma > 0:
-        raise ValueRangeError(f"gamma must be > 0, got {gamma}")
+    gamma = _real("gamma", gamma, 0, ends="(]")
     grid = require_same_grid(gt, background)
     out = np.empty(grid.shape)
     for rows in _row_bands(grid):

@@ -13,15 +13,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .equirect import GridSpec, lat_to_row, lon_to_col, pixel_center_trig, row_to_lat
+from .equirect import GridSpec, _real, lat_to_row, lon_to_col, pixel_center_trig, row_to_lat
 from .errors import CornerExtractionError, PolygonError, ShapeMismatchError, ValueRangeError
 
+_MAX_COORD = 2.0**500  # m: products of two vertex coordinate differences stay finite
 
-def _readonly(a) -> np.ndarray:
+
+def _readonly(a, what: str, shape_error=ShapeMismatchError) -> np.ndarray:
     """A read-only, row-major float64 copy of ``a``: the one way a value type
     takes an array from its caller, so that no later write by the caller
-    reaches it and the banded stages walk rows of contiguous memory."""
-    out = np.array(a, dtype=np.float64, order="C")
+    reaches it and the banded stages walk rows of contiguous memory. A ragged
+    ``a`` is the type's ``shape_error``, one of non-numbers ``ValueRangeError``."""
+    try:
+        out = np.array(a, dtype=np.float64, order="C")
+    except (TypeError, ValueError, OverflowError):
+        try:
+            np.asarray(a)
+        except ValueError as e:
+            raise shape_error(f"{what} do not form an array: {e}") from None
+        raise ValueRangeError(f"{what} must be numbers that convert to floats") from None
     out.flags.writeable = False
     return out
 
@@ -35,9 +45,7 @@ class CameraHeights:
 
     def __post_init__(self):
         for name in ("up", "down"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v <= 0:
-                raise ValueRangeError(f"camera height '{name}' must be finite and > 0, got {v}")
+            object.__setattr__(self, name, _real(f"camera height '{name}'", getattr(self, name), 0))
 
 
 @dataclass(frozen=True)
@@ -49,12 +57,11 @@ class LayoutMap:
     corner_prob: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "ceil_rows", _readonly(self.ceil_rows))
-        object.__setattr__(self, "floor_rows", _readonly(self.floor_rows))
-        object.__setattr__(self, "corner_prob", _readonly(self.corner_prob))
-        n = len(self.ceil_rows)
-        if len(self.floor_rows) != n or len(self.corner_prob) != n:
-            raise ShapeMismatchError("layout channel lengths differ")
+        channels = ("ceil_rows", "floor_rows", "corner_prob")
+        for name in channels:
+            object.__setattr__(self, name, _readonly(getattr(self, name), "layout rows"))
+        if self.ceil_rows.ndim != 1 or len({getattr(self, c).shape for c in channels}) > 1:
+            raise ShapeMismatchError("layout channels must be 1-D and of one length")
         if not np.all((self.corner_prob >= 0) & (self.corner_prob <= 1)):
             raise ValueRangeError("corner probabilities must lie in [0, 1]")
 
@@ -111,13 +118,15 @@ class ManhattanRoom:
     cam_to_ceil: float
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", _readonly(self.vertices))
-        v = self.vertices
+        v = _readonly(self.vertices, "floor plan vertices", PolygonError)
+        object.__setattr__(self, "vertices", v)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 4:
             raise PolygonError("floor plan needs at least 4 (x, y) vertices")
-        if not np.all(np.isfinite(v)):
-            raise ValueRangeError("floor plan vertices must be finite")
-        self.heights  # CameraHeights holds the one height rule
+        if not np.all(np.abs(v) <= _MAX_COORD):  # NaN fails too
+            raise ValueRangeError(f"floor plan vertices must lie within {_MAX_COORD:.3g} m")
+        h = self.heights  # CameraHeights holds the one height rule
+        object.__setattr__(self, "cam_to_floor", h.down)
+        object.__setattr__(self, "cam_to_ceil", h.up)
         if not is_simple_polygon(v):
             raise PolygonError("floor plan polygon is self-intersecting")
         if signed_area(v) <= 0:

@@ -9,7 +9,8 @@ import numpy as np
 
 from . import bgdepth
 from .bgdepth import DepthMap, _row_bands, require_same_grid
-from .errors import NoValidSamplesError, ValueRangeError
+from .equirect import _real
+from .errors import NoValidSamplesError
 from .fusion import SegMap
 
 PROB_EPS = 1e-7  # clamp before log; the focal term is undefined at 0
@@ -40,10 +41,8 @@ class FocalParams:
     eta: float = 2.0
 
     def __post_init__(self):
-        if not (0 < self.alpha <= 1):
-            raise ValueRangeError("alpha must lie in (0, 1]")
-        if not (np.isfinite(self.eta) and self.eta >= 0):
-            raise ValueRangeError("eta must be finite and >= 0")
+        object.__setattr__(self, "alpha", _real("alpha", self.alpha, 0, 1, "(]"))
+        object.__setattr__(self, "eta", _real("eta", self.eta, 0, ends="[)"))
 
 
 @dataclass(frozen=True)
@@ -53,9 +52,8 @@ class LossWeights:
     lambda3: float = 0.4
 
     def __post_init__(self):
-        for w in (self.lambda1, self.lambda2, self.lambda3):
-            if not (np.isfinite(w) and w >= 0):
-                raise ValueRangeError("loss weights must be finite and >= 0")
+        for name in ("lambda1", "lambda2", "lambda3"):
+            object.__setattr__(self, name, _real(name, getattr(self, name), 0, ends="[)"))
 
 
 def _pairwise(lo: int, hi: int, piece):
@@ -138,7 +136,5 @@ def total_loss(
     l_layout: float, l_depth: float, l_seg: float, w: LossWeights = LossWeights()
 ) -> float:
     """Weighted sum of the three branch losses."""
-    for v in (l_layout, l_depth, l_seg):
-        if not np.isfinite(v):
-            raise ValueRangeError("loss terms must be finite")
+    l_layout, l_depth, l_seg = (_real("loss term", v) for v in (l_layout, l_depth, l_seg))
     return w.lambda1 * l_layout + w.lambda2 * l_depth + w.lambda3 * l_seg

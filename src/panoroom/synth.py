@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels
 from .bgdepth import DepthMap, _row_bands
-from .equirect import GridSpec, _is_int, pixel_center_trig
+from .equirect import GridSpec, _int, _real, pixel_center_trig
 from .errors import PlacementError, ShapeMismatchError, ValueRangeError
 from .fusion import SegMap
 from .layout import ManhattanRoom, _readonly
@@ -35,16 +35,12 @@ class SceneSpec:
     seed: int
 
     def __post_init__(self):
-        try:
-            b = _readonly(self.boxes)
-        except ValueError as e:  # a ragged list
-            raise ShapeMismatchError(f"boxes do not form an array: {e}") from None
+        b = _readonly(self.boxes, "boxes")
         if b.size % 6:
             raise ShapeMismatchError(f"boxes need 6 values each, got {b.size} values")
         b = b.reshape(-1, 6)
         object.__setattr__(self, "boxes", b)
-        if not (_is_int(self.seed) and self.seed >= 0):
-            raise ValueRangeError(f"scene seed must be an integer >= 0, got {self.seed!r}")
+        object.__setattr__(self, "seed", _int("scene seed", self.seed, 0))
         if not np.all(np.isfinite(b)):
             raise ValueRangeError("box extents must be finite")
         if np.any(b[:, :3] >= b[:, 3:]):
@@ -59,14 +55,12 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (_is_int(self.seed) and self.seed >= 0):
-            raise ValueRangeError(f"noise seed must be an integer >= 0, got {self.seed!r}")
-        if not (0 <= self.salt_frac <= 1 and 0 <= self.outlier_frac <= 1):
-            raise ValueRangeError("noise fractions must lie in [0, 1]")
+        object.__setattr__(self, "seed", _int("noise seed", self.seed, 0))
+        for name in ("salt_frac", "outlier_frac"):
+            object.__setattr__(self, name, _real(name, getattr(self, name), 0, 1, "[]"))
         if self.salt_frac + self.outlier_frac > 1:
             raise ValueRangeError("salt_frac + outlier_frac must be <= 1")
-        if not (np.isfinite(self.outlier_offset) and self.outlier_offset > 0):
-            raise ValueRangeError("outlier_offset must be finite and > 0")
+        object.__setattr__(self, "outlier_offset", _real("outlier_offset", self.outlier_offset, 0))
 
 
 @dataclass(frozen=True)
@@ -75,15 +69,14 @@ class SceneConfig:
     box_count_range: tuple[int, int] = (0, 4)
 
     def __post_init__(self):
-        if self.plan not in ("rect", "lshape"):
+        if not (isinstance(self.plan, str) and self.plan in ("rect", "lshape")):
             raise ValueRangeError(f"plan must be 'rect' or 'lshape', got {self.plan!r}")
-        lo, hi = self.box_count_range
-        if not (_is_int(lo) and _is_int(hi) and 0 <= lo <= hi):
-            raise ValueRangeError(
-                f"box_count_range must be two integers 0 <= lo <= hi, got {self.box_count_range!r}"
-            )
-        if hi > MAX_BOXES:
-            raise ValueRangeError(f"box_count_range may not exceed {MAX_BOXES} boxes, got {hi}")
+        r = self.box_count_range
+        if not (isinstance(r, (list, tuple)) and len(r) == 2):
+            raise ValueRangeError(f"box_count_range must be a pair (lo, hi), got {r!r}")
+        lo = _int("box_count_range lo", r[0], 0, MAX_BOXES)
+        hi = _int("box_count_range hi", r[1], lo, MAX_BOXES)
+        object.__setattr__(self, "box_count_range", (lo, hi))
 
 
 def _edge_line_clearance(vertices: np.ndarray, p: np.ndarray) -> float:
@@ -108,8 +101,7 @@ def _min_azimuth_gap(vertices: np.ndarray) -> float:
 
 def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneSpec:
     """Deterministically sample a room (and boxes) satisfying all invariants."""
-    if not (_is_int(seed) and seed >= 0):
-        raise ValueRangeError(f"scene seed must be an integer >= 0, got {seed!r}")
+    seed = _int("scene seed", seed, 0)
     rng = np.random.default_rng(seed)
     width = rng.uniform(3.0, 8.0)
     depth = rng.uniform(3.0, 8.0)
@@ -182,7 +174,7 @@ def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneSpec:
             boxes.append((x0, y0, z0, x1, y1, z1))
             break
         # unplaceable boxes are skipped, reducing the count
-    return SceneSpec(room=room, boxes=boxes, seed=int(seed))
+    return SceneSpec(room=room, boxes=boxes, seed=seed)
 
 
 def render_bands(scene: SceneSpec, grid: GridSpec, boxes):

@@ -264,6 +264,7 @@ def denoise_with_slack(tmp_path, slack, cam_to_floor=1.5, x_max=1, clockwise=Fal
         (lambda p: denoise_with_slack(p, 1.0, cam_to_floor=-1), "value-range"),
         (lambda p: denoise_with_slack(p, 1.0, cam_to_floor=float("nan")), "value-range"),
         (lambda p: denoise_with_slack(p, 1.0, vertex=(float("inf"), -1)), "value-range"),
+        (lambda p: denoise_with_slack(p, 1.0, vertex=(-1e200, -1e200)), "value-range"),
         (lambda p: ["fuse", "--coarse", write_flat_pfm(p / "c.pfm"), "--bg", p / "c.pfm",
                     "--seg", write_pfm_holding(p / "s.pfm", 1.5), "--out", p / "o.pfm"],
          "value-range"),
@@ -295,6 +296,7 @@ def denoise_with_slack(tmp_path, slack, cam_to_floor=1.5, x_max=1, clockwise=Fal
     ids=["pfm-nan", "pfm-negative", "layout-8x8", "corner-prob-2", "ceil-rows",
          "slack-negative", "slack-nan", "room-height-overflow", "room-vertex-overflow",
          "room-height-inf", "room-height-negative", "room-height-nan", "room-vertex-inf",
+         "room-vertex-huge",
          "seg-above-1", "gamma-negative", "gamma-nan",
          "boxes-reversed", "boxes-beyond-int64", "boxes-over-bound", "synth-height-over-bound",
          "layout-over-bound", "pfm-magic",
@@ -336,11 +338,17 @@ def _nested_too_deep(text):
     return b"[" * 100_000
 
 
+def _too_many_digits(text):
+    # past sys.get_int_max_str_digits(), which Python's decoder refuses
+    return text.replace("1.5", "1" + "0" * 5000, 1).encode()
+
+
 @pytest.mark.parametrize(
     "command, damage",
     [("bg", _truncated), ("denoise", _truncated), ("bg", _not_utf8), ("denoise", _not_utf8),
-     ("bg", _nested_too_deep)],
-    ids=["bg", "denoise", "bg-not-utf8", "denoise-not-utf8", "bg-nested-too-deep"],
+     ("bg", _nested_too_deep), ("denoise", _too_many_digits)],
+    ids=["bg", "denoise", "bg-not-utf8", "denoise-not-utf8", "bg-nested-too-deep",
+         "denoise-too-many-digits"],
 )
 def test_truncated_json_is_schema(tmp_path, capsys, command, damage):
     path = tmp_path / "doc.json"
