@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .equirect import GridSpec, pixel_center_lats, pixel_center_trig, row_to_lat
+from .equirect import GridSpec, _shown, pixel_center_lats, pixel_center_trig, row_to_lat
 from .errors import NoValidSamplesError, ShapeMismatchError, ValueRangeError
 from .layout import CameraHeights, LayoutMap, _readonly, floor_wall_range
 
@@ -105,7 +105,7 @@ def require_same_grid(*maps) -> GridSpec:
 
 def _check_mode(mode: str) -> None:
     if not (isinstance(mode, str) and mode in RESOLVE_MODES):
-        raise ValueRangeError(f"mode must be one of {RESOLVE_MODES}, got {mode!r}")
+        raise ValueRangeError(f"mode must be one of {RESOLVE_MODES}, got {_shown(mode)}")
 
 
 def cap_depth(lat_mag, height: float, mode: str = "exact"):

@@ -30,13 +30,25 @@ from .errors import ShapeMismatchError, ValueRangeError
 _MAX_HEIGHT = 4096
 
 
+def _shown(v) -> str:
+    """``repr(v)`` for a refusal message. Python prints no integer in decimal
+    past ``sys.get_int_max_str_digits()``: one past 64 bits is shown by its
+    bit length, and a value holding such an integer by its type alone."""
+    if isinstance(v, int) and v.bit_length() > 64:
+        return f"{'a negative' if v < 0 else 'an'} integer of {v.bit_length()} bits"
+    try:
+        return repr(v)
+    except ValueError:
+        return f"a {type(v).__name__} holding an integer too long to print"
+
+
 def _int(what: str, v, lo: int, hi: float = math.inf) -> int:
     """``v`` as an int when it is a Python or numpy integer, bool excepted,
     in [lo, hi]; anything else is ``ValueRangeError`` naming ``what``."""
     if isinstance(v, (int, np.integer)) and not isinstance(v, bool) and lo <= v <= hi:
         return int(v)
     bounds = f"in [{lo}, {hi}]" if hi < math.inf else f">= {lo}"
-    raise ValueRangeError(f"{what} must be an integer {bounds}, got {v!r}")
+    raise ValueRangeError(f"{what} must be an integer {bounds}, got {_shown(v)}")
 
 
 def _real(what: str, v, lo: float = -math.inf, hi: float = math.inf, ends: str = "()") -> float:
@@ -50,7 +62,8 @@ def _real(what: str, v, lo: float = -math.inf, hi: float = math.inf, ends: str =
         f = math.nan
     if lo < f < hi or f == lo and ends[0] == "[" or f == hi and ends[1] == "]":
         return f
-    raise ValueRangeError(f"{what} must be a real number in {ends[0]}{lo}, {hi}{ends[1]}, got {v!r}")
+    bounds = f"{ends[0]}{lo}, {hi}{ends[1]}"
+    raise ValueRangeError(f"{what} must be a real number in {bounds}, got {_shown(v)}")
 
 
 @dataclass(frozen=True)
@@ -65,7 +78,7 @@ class GridSpec:
         object.__setattr__(self, "width", _int("grid width", self.width, 1))
         object.__setattr__(self, "height", _int("grid height", self.height, 1, _MAX_HEIGHT))
         if self.width != 2 * self.height:
-            raise ShapeMismatchError(f"grid width {self.width} != 2 * height {self.height}")
+            raise ShapeMismatchError(f"grid width {_shown(self.width)} != 2 * height {self.height}")
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -437,7 +437,7 @@ def write_scene(scene: SceneSpec, grid: GridSpec, scene_dir: str) -> None:
     os.makedirs(scene_dir, exist_ok=True)
     paths = [os.path.join(scene_dir, n) for n in _SCENE_FILES]
     with _atomic_files(paths) as (*pfm_files, layout_file, scene_file):
-        bands = ((rows, maps) for rows, *maps in render_bands(scene, grid, scene.boxes))
+        bands = ((rows, maps) for rows, *maps in render_bands(scene, grid))
         _write_pfms(pfm_files, grid.shape, bands)
         layout_file.write(_json_bytes(layout_to_dict(layout, grid)))
         scene_file.write(_json_bytes(scene_to_dict(scene)))

@@ -14,10 +14,10 @@ import numpy as np
 
 from . import _kernels
 from .bgdepth import DepthMap, _row_bands
-from .equirect import GridSpec, _int, _real, pixel_center_trig
+from .equirect import GridSpec, _int, _real, _shown, pixel_center_trig
 from .errors import PlacementError, ShapeMismatchError, ValueRangeError
 from .fusion import SegMap
-from .layout import ManhattanRoom, _readonly
+from .layout import _MAX_COORD, ManhattanRoom, _readonly
 
 CAMERA_WALL_CLEARANCE = 0.5  # meters
 # (lo, hi) box extents along x, y and z, meters; z is also kept below the room
@@ -41,8 +41,8 @@ class SceneSpec:
         b = b.reshape(-1, 6)
         object.__setattr__(self, "boxes", b)
         object.__setattr__(self, "seed", _int("scene seed", self.seed, 0))
-        if not np.all(np.isfinite(b)):
-            raise ValueRangeError("box extents must be finite")
+        if not np.all(np.abs(b) <= _MAX_COORD):  # slab distances stay finite; NaN fails
+            raise ValueRangeError(f"box extents must lie within {_MAX_COORD:.3g} m")
         if np.any(b[:, :3] >= b[:, 3:]):
             raise ValueRangeError("box min must be strictly below box max componentwise")
 
@@ -70,10 +70,10 @@ class SceneConfig:
 
     def __post_init__(self):
         if not (isinstance(self.plan, str) and self.plan in ("rect", "lshape")):
-            raise ValueRangeError(f"plan must be 'rect' or 'lshape', got {self.plan!r}")
+            raise ValueRangeError(f"plan must be 'rect' or 'lshape', got {_shown(self.plan)}")
         r = self.box_count_range
         if not (isinstance(r, (list, tuple)) and len(r) == 2):
-            raise ValueRangeError(f"box_count_range must be a pair (lo, hi), got {r!r}")
+            raise ValueRangeError(f"box_count_range must be a pair (lo, hi), got {_shown(r)}")
         lo = _int("box_count_range lo", r[0], 0, MAX_BOXES)
         hi = _int("box_count_range hi", r[1], lo, MAX_BOXES)
         object.__setattr__(self, "box_count_range", (lo, hi))
@@ -177,16 +177,16 @@ def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneSpec:
     return SceneSpec(room=room, boxes=boxes, seed=seed)
 
 
-def render_bands(scene: SceneSpec, grid: GridSpec, boxes):
+def render_bands(scene: SceneSpec, grid: GridSpec):
     """Render ``scene`` one row band (``bgdepth._row_bands``) at a time.
 
     Yields ``(rows, depth, shell, mask)`` per band, top to bottom: the
-    depth with ``boxes`` in front of the room shell, the shell alone, and
-    1 where the two agree within ``_MASK_EPS``. Where no box reaches a band,
-    ``depth`` is ``shell`` itself and the mask is all ones. The arrays are
-    reused from band to band, so a caller copies what it keeps before
-    asking for the next band. A non-finite shell raises ``ValueRangeError``
-    in the band that holds it.
+    depth with the scene's own boxes in front of the room shell, the shell
+    alone, and 1 where the two agree within ``_MASK_EPS``. Where no box
+    reaches a band, ``depth`` is ``shell`` itself and the mask is all ones.
+    The arrays are reused from band to band, so a caller copies what it
+    keeps before asking for the next band. A non-finite shell raises
+    ``ValueRangeError`` in the band that holds it.
 
     A box's slab planes (``_kernels._slab_planes``) are made once; its
     entry distances only over its footprint rows inside the band, so the
@@ -196,7 +196,7 @@ def render_bands(scene: SceneSpec, grid: GridSpec, boxes):
     parts = _kernels.shell_parts(room.edges, room.cam_to_floor, room.cam_to_ceil, grid)
     cl, dz, cos_lon, sin_lon = pixel_center_trig(grid)
     footprints = []
-    for box in boxes:
+    for box in scene.boxes:
         rows, col_slices = _kernels._box_footprint(box, grid)
         for cols in col_slices:
             planes = _kernels._slab_planes(box, cl[rows], cos_lon[cols], sin_lon[cols], dz[rows])
@@ -233,11 +233,10 @@ def render_bands(scene: SceneSpec, grid: GridSpec, boxes):
 
 
 def raycast_depth(scene: SceneSpec, grid: GridSpec, include_foreground: bool = True) -> DepthMap:
-    """Exact radial distance to the first surface hit at every pixel center."""
-    boxes = scene.boxes if include_foreground else ()
+    """Exact radial distance to the first hit at every pixel center, or to the shell alone."""
     out = np.empty(grid.shape)
-    for rows, depth, _, _ in render_bands(scene, grid, boxes):
-        out[rows] = depth
+    for rows, depth, shell, _ in render_bands(scene, grid):
+        out[rows] = depth if include_foreground else shell
     return DepthMap._own(grid, out)
 
 
@@ -251,7 +250,7 @@ def render_scene(scene: SceneSpec, grid: GridSpec) -> tuple[DepthMap, DepthMap, 
     depth, mask = np.empty(grid.shape), np.empty(grid.shape)
     # without boxes both renders are one map
     shell = np.empty(grid.shape) if len(scene.boxes) else depth
-    for rows, d, s, m in render_bands(scene, grid, scene.boxes):
+    for rows, d, s, m in render_bands(scene, grid):
         depth[rows] = d
         shell[rows] = s
         mask[rows] = m
@@ -261,7 +260,7 @@ def render_scene(scene: SceneSpec, grid: GridSpec) -> tuple[DepthMap, DepthMap, 
 def gt_background_mask(scene: SceneSpec, grid: GridSpec) -> SegMap:
     """1 where renders with and without foreground agree within ``_MASK_EPS``."""
     mask = np.empty(grid.shape)
-    for rows, _, _, m in render_bands(scene, grid, scene.boxes):
+    for rows, _, _, m in render_bands(scene, grid):
         mask[rows] = m
     return SegMap._own(grid, mask)
 

@@ -265,6 +265,7 @@ def denoise_with_slack(tmp_path, slack, cam_to_floor=1.5, x_max=1, clockwise=Fal
         (lambda p: denoise_with_slack(p, 1.0, cam_to_floor=float("nan")), "value-range"),
         (lambda p: denoise_with_slack(p, 1.0, vertex=(float("inf"), -1)), "value-range"),
         (lambda p: denoise_with_slack(p, 1.0, vertex=(-1e200, -1e200)), "value-range"),
+        (lambda p: denoise_with_slack(p, 1.0, cam_to_floor=1e308), "value-range"),
         (lambda p: ["fuse", "--coarse", write_flat_pfm(p / "c.pfm"), "--bg", p / "c.pfm",
                     "--seg", write_pfm_holding(p / "s.pfm", 1.5), "--out", p / "o.pfm"],
          "value-range"),
@@ -296,7 +297,7 @@ def denoise_with_slack(tmp_path, slack, cam_to_floor=1.5, x_max=1, clockwise=Fal
     ids=["pfm-nan", "pfm-negative", "layout-8x8", "corner-prob-2", "ceil-rows",
          "slack-negative", "slack-nan", "room-height-overflow", "room-vertex-overflow",
          "room-height-inf", "room-height-negative", "room-height-nan", "room-vertex-inf",
-         "room-vertex-huge",
+         "room-vertex-huge", "room-height-1e308",
          "seg-above-1", "gamma-negative", "gamma-nan",
          "boxes-reversed", "boxes-beyond-int64", "boxes-over-bound", "synth-height-over-bound",
          "layout-over-bound", "pfm-magic",

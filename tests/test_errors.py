@@ -50,6 +50,7 @@ GRID = GridSpec(width=16, height=8)
 SCENE = make_scene(0)
 LAYOUT = room_to_layout(SCENE.room, GRID)
 COARSE = DepthMap(grid=GRID, values=np.ones(GRID.shape))
+SMALL_DEPTH = DepthMap(grid=GridSpec(width=8, height=4), values=np.ones((4, 8)))
 HEIGHTS = CameraHeights(up=1.0, down=1.5)
 SQUARE = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
 
@@ -114,6 +115,15 @@ SQUARE = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
         (lambda: SceneSpec(room=SCENE.room, boxes=[["a"] * 6], seed=0), "value-range"),
         (lambda: LayoutMap([[1.0, 1.0]], [2.0], [0.0]), "shape-mismatch"),
         (lambda: ManhattanRoom(1e200 * np.array(SQUARE), 1.5, 1.0), "value-range"),
+        # integers past Python's 4300-digit decimal limit, named in the message
+        (lambda: CameraHeights(up=10**5000, down=1.0), "value-range"),
+        (lambda: generate_scene(-(10**5000)), "value-range"),
+        (lambda: GridSpec(width=10**5000, height=4), "shape-mismatch"),
+        (lambda: SceneSpec(room=SCENE.room, boxes=[-1e308] * 3 + [1e308] * 3, seed=0),
+         "value-range"),
+        # a map on another grid than the one asked for
+        (lambda: resolve_camera_heights(LAYOUT, SMALL_DEPTH, GRID), "shape-mismatch"),
+        (lambda: denoise_depth(COARSE, COARSE, SCENE.room, SMALL_DEPTH.grid), "shape-mismatch"),
     ],
     ids=["focal-alpha", "focal-eta", "loss-weight", "loss-term", "mode", "box-extent",
          "noise-fraction", "noise-sum", "noise-offset", "plan", "box-count", "pfm-3d",
@@ -126,7 +136,8 @@ SQUARE = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
          "room-floor-zero", "room-floor-negative", "room-floor-nan", "room-floor-inf",
          "room-ceil-negative", "room-vertex-nan", "room-vertex-inf", "box-count-float",
          "box-count-str", "box-count-none", "box-count-bool", "box-count-nan", "box-strings",
-         "layout-2d", "room-vertex-huge"],
+         "layout-2d", "room-vertex-huge", "height-5000-digits", "seed-5000-digits",
+         "grid-5000-digits", "box-beyond-bound", "heights-coarse-grid", "denoise-grid"],
 )
 def test_library_errors_carry_a_code(call, code, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -268,7 +279,7 @@ TAKERS = {
 }
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.text(max_size=3), st.floats(), st.integers(-3, 2**64),
-    st.sampled_from([10**400, -(10**400), np.bool_(True), np.int64(3), np.float32(0.5)]),
+    st.sampled_from([10**5000, -(10**5000), np.bool_(True), np.int64(3), np.float32(0.5)]),
 )
 WRONG_VALUES = st.one_of(
     SCALARS,

@@ -1,6 +1,7 @@
 import os
 import stat
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -65,6 +66,24 @@ def test_truncated_payload(tmp_path):
     path.write_bytes(b"Pf\n2 2\n-1.0\n" + b"\x00" * 7)
     with pytest.raises(PfmTruncatedError):
         read_pfm(str(path))
+
+
+def test_truncated_payload_on_a_stream(tmp_path):
+    """A stream has no length to check up front, so a payload that ends
+    early is found only when it is read."""
+    fifo = tmp_path / "t.pfm"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as f:
+            f.write(b"Pf\n2 2\n-1.0\n" + b"\x00" * 7)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    with pytest.raises(PfmTruncatedError, match="expected 16 bytes, got 7"):
+        read_pfm(str(fifo))
+    writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_bad_magic(tmp_path):

@@ -15,7 +15,9 @@ pixel differently at two scales. Three thresholds are in metres:
 * synth's 1e-9 m wall clearance, used only while scenes are generated.
 
 No pixel of the scenes below lies near ``_MASK_EPS``, which the test
-asserts rather than assumes.
+asserts rather than assumes. ``layout_to_room`` either recovers a room at
+both scales, whose vertices then scale bit for bit, or refuses both with
+the same code.
 """
 
 import math
@@ -35,6 +37,7 @@ from panoroom import (
     eval_metrics,
     fuse_depth,
     generate_scene,
+    layout_to_room,
     render_scene,
     resolve_background_depth,
     resolve_camera_heights,
@@ -42,6 +45,7 @@ from panoroom import (
 )
 from panoroom import synth
 from panoroom.equirect import _real
+from panoroom.errors import PanoroomError
 from panoroom.fusion import DEFAULT_SEG_GAMMA
 
 GRID = GridSpec(width=128, height=64)
@@ -57,6 +61,14 @@ def scaled(scene: SceneSpec, s: float) -> SceneSpec:
         boxes=s * scene.boxes,
         seed=scene.seed,
     )
+
+
+def recovered_vertices(layout, heights):
+    """``layout_to_room``'s vertices, or the code of the error it raises."""
+    try:
+        return layout_to_room(layout, heights, GRID).vertices
+    except PanoroomError as e:
+        return e.code
 
 
 def stages(scene: SceneSpec, s: float) -> dict:
@@ -75,6 +87,7 @@ def stages(scene: SceneSpec, s: float) -> dict:
         "layout": (layout.ceil_rows, layout.floor_rows, layout.corner_prob),
         "coarse": coarse.values,
         "heights": (heights.up, heights.down),
+        "room": recovered_vertices(layout, heights),
         "bg": bg.values,
         "fused": fuse_depth(coarse, bg, mask).values,
         "labels": derive_seg_labels(depth, bg, gamma=s * DEFAULT_SEG_GAMMA).values,
@@ -103,6 +116,10 @@ def test_every_stage_scales_exactly(seed, plan):
             assert same_bits(out[name], s * np.asarray(base[name])), (name, s)
         for name in ("mask", "labels", "layout"):
             assert same_bits(out[name], base[name]), (name, s)
+        if isinstance(base["room"], str):
+            assert out["room"] == base["room"], s
+        else:
+            assert same_bits(out["room"], s * base["room"]), ("room", s)
         m, m0 = out["metrics"], base["metrics"]
         for name in ("abs_rel", "delta1", "delta2", "delta3"):
             assert same_bits(getattr(m, name), getattr(m0, name)), (name, s)

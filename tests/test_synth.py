@@ -296,6 +296,24 @@ def test_render_scene_matches_hand_built_boxes(monkeypatch, name, height, eps):
         assert np.array_equal(mask.values == 0.0, hidden)
 
 
+@pytest.mark.parametrize(
+    "box",
+    [[-(2.0**500)] * 3 + [2.0**500] * 3, [2.0**499] * 3 + [2.0**500] * 3,
+     [-(2.0**500), -(2.0**500), -1.0, 2.0**500, 2.0**500, -0.5]],
+    ids=["holds-the-camera", "beyond-the-room", "slab-under-the-camera"],
+)
+def test_boxes_at_the_coordinate_bound_render_without_overflow(box):
+    """A box extent may reach the floor plan's coordinate bound: its plane
+    distances stay finite at every pixel, so every render is warning-free
+    (a numpy warning fails the test) and its shell is the bare room's."""
+    scene = SceneSpec(room=_ROOM, boxes=[box], seed=0)
+    bare = raycast_depth(SceneSpec(room=_ROOM, boxes=np.zeros((0, 6)), seed=0), GRID).values
+    _, shell, _ = render_scene(scene, GRID)
+    assert np.array_equal(shell.values, bare)
+    assert np.array_equal(raycast_depth(scene, GRID, include_foreground=False).values, bare)
+    assert np.isfinite(raycast_depth(scene, GRID).values).all()
+
+
 def test_render_scene_without_boxes_shares_one_map():
     gt, bg, mask = render_scene(make_scene(2), GRID)
     assert gt.values is bg.values and not gt.values.flags.writeable
