@@ -177,8 +177,8 @@ class ShellParts(NamedTuple):
 def plane_depth(sin_lat, down, up):
     """Radial distance along rays whose latitude has sine ``sin_lat`` to the
     floor ``down`` below the camera (``sin_lat`` < 0) or the ceiling ``up``
-    above it (> 0); inf on the horizon."""
-    with np.errstate(divide="ignore"):
+    above it (> 0); inf on the horizon and where it is beyond the floats."""
+    with np.errstate(divide="ignore", over="ignore"):
         return np.where(sin_lat < 0.0, down, up) / np.abs(sin_lat)
 
 
@@ -191,8 +191,7 @@ def shell_parts(edges, cam_down, cam_up, grid) -> ShellParts:
     ax, ay, bx, by = edges[np.maximum(k, 0)].T
     ex = bx - ax
     ey = by - ay
-    with np.errstate(over="ignore"):
-        t_plane = plane_depth(dz, cam_down, cam_up)
+    t_plane = plane_depth(dz, cam_down, cam_up)
     # the horizon row of an odd-height grid meets no cap: its inf stays
     if np.isinf(t_plane[dz != 0.0]).any():
         raise ValueRangeError("floor or ceiling distance overflows the floats")

@@ -76,8 +76,7 @@ def _cmd_eval(args) -> int:
     gt = _load(DepthMap, args.gt)
     mask = _load(SegMap, args.mask) if args.mask else None
     report = metrics.eval_metrics(pred, gt, mask)
-    with formats._atomic_files([args.json]) as (f,):
-        f.write((report.to_json() + "\n").encode("ascii"))
+    formats.write_json({k: float(f"{v:.9g}") for k, v in report.to_dict().items()}, args.json)
     return 0
 
 

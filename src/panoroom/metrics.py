@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -28,11 +27,6 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        """JSON with each field at 9 significant digits."""
-        rounded = {k: float(f"{v:.9g}") for k, v in self.to_dict().items()}
-        return json.dumps(rounded, indent=2)
 
 
 @dataclass(frozen=True)

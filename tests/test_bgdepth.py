@@ -117,6 +117,12 @@ def test_nadir_formulas():
     assert wall_depth(0.0, 2.7, "paper-literal") == 2.7
 
 
+def test_cap_depth_beyond_the_floats_is_inf():
+    # as on the horizon, with no numpy overflow warning
+    assert cap_depth(1e-300, 1e308) == np.inf
+    assert cap_depth(0.0, 1.5) == np.inf
+
+
 def test_background_matches_raycast_oracle():
     for scene in mixed_scenes(6, seed0=20):
         layout = layout_for(scene)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import panoroom
-from panoroom import cli, equirect, synth
+from panoroom import cli, equirect, formats, synth
 from panoroom.cli import main
 from panoroom.formats import read_pfm, write_pfm
 
@@ -100,6 +100,38 @@ def test_fuse_seglabel_denoise_eval_round(tmp_path):
     m = json.load(open(report))
     assert set(m) == {"abs_rel", "sq_rel", "rmse", "mae", "delta1", "delta2", "delta3"}
     assert m["delta1"] <= m["delta2"] <= m["delta3"]
+
+
+def eval_one_pixel(tmp_path, pred_value):
+    """``eval`` on 2x1 maps with one valid pixel: gt 1, pred ``pred_value``."""
+    pred = str(tmp_path / "p.pfm")
+    gt = str(tmp_path / "g.pfm")
+    write_pfm(np.array([[pred_value, 5.0]], dtype=np.float32), pred)
+    write_pfm(np.array([[1.0, 0.0]], dtype=np.float32), gt)
+    report = tmp_path / "m.json"
+    assert run(["eval", "--pred", pred, "--gt", gt, "--json", report]) == 0
+    return cli._load(panoroom.DepthMap, pred), cli._load(panoroom.DepthMap, gt), report
+
+
+def test_report_json_nine_significant_digits(tmp_path):
+    pred, gt, report = eval_one_pixel(tmp_path, 1.23456789123)
+    metrics = panoroom.eval_metrics(pred, gt).to_dict()
+    rounded = {k: float(f"{v:.9g}") for k, v in metrics.items()}
+    assert rounded["abs_rel"] != metrics["abs_rel"]  # more digits than the report keeps
+    assert report.read_bytes() == (json.dumps(rounded, indent=2) + "\n").encode("ascii")
+
+
+def test_eval_writes_through_formats_write_json(tmp_path, monkeypatch):
+    written = []
+    write_json = formats.write_json
+
+    def spy(obj, path):
+        written.append(path)
+        write_json(obj, path)
+
+    monkeypatch.setattr(formats, "write_json", spy)
+    _, _, report = eval_one_pixel(tmp_path, 2.0)
+    assert written == [str(report)]
 
 
 def test_pointcloud_export(tmp_path):
@@ -244,6 +276,16 @@ def denoise_with_slack(tmp_path, slack, cam_to_floor=1.5, x_max=1, clockwise=Fal
     depth = write_flat_pfm(tmp_path / "d.pfm")
     return ["denoise", "--gt", depth, "--bg", depth, "--room", room, "--slack", slack,
             "--out", tmp_path / "o.pfm"]
+
+
+def test_denoise_slack_near_the_float_maximum_warns_nothing(tmp_path, capsys):
+    outputs = []
+    for slack in ("1e308", "inf"):
+        (tmp_path / slack).mkdir()
+        assert run(denoise_with_slack(tmp_path / slack, slack)) == 0
+        outputs.append((tmp_path / slack / "o.pfm").read_bytes())
+    assert capsys.readouterr().err == ""
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(
