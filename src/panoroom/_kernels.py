@@ -35,7 +35,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .equirect import lat_to_row, lon_to_col, pixel_center_trig, wrap_angle
-from .errors import ValueRangeError
 
 # Read by the benchmark's environment report; there is no compiled backend.
 USE_NUMBA = False
@@ -183,18 +182,15 @@ def plane_depth(sin_lat, down, up):
 
 
 def shell_parts(edges, cam_down, cam_up, grid) -> ShellParts:
-    """The per-row and per-column factors of the room shell's depth. A
-    floor or ceiling distance beyond the floats on a row off the horizon is
-    ``ValueRangeError``."""
+    """The per-row and per-column factors of the room shell's depth. Heights
+    within ``layout._MAX_COORD`` keep every plane distance finite off the
+    horizon row of an odd-height grid, whose inf meets no cap."""
     cl, dz, cos_lon, sin_lon = pixel_center_trig(grid)
     wall, k = _first_crossing(edges, cos_lon, sin_lon)
     ax, ay, bx, by = edges[np.maximum(k, 0)].T
     ex = bx - ax
     ey = by - ay
     t_plane = plane_depth(dz, cam_down, cam_up)
-    # the horizon row of an odd-height grid meets no cap: its inf stays
-    if np.isinf(t_plane[dz != 0.0]).any():
-        raise ValueRangeError("floor or ceiling distance overflows the floats")
     plane = t_plane[:, 0] < wall.min() / cl[:, 0] * (1.0 - 1e-6)
     (rows,) = np.nonzero(~plane)
     walls = slice(rows[0], rows[-1] + 1) if rows.size else slice(0, 0)

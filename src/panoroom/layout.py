@@ -16,7 +16,9 @@ from . import _kernels
 from .equirect import GridSpec, _real, lat_to_row, lon_to_col, pixel_center_trig, row_to_lat
 from .errors import CornerExtractionError, PolygonError, ShapeMismatchError, ValueRangeError
 
-_MAX_COORD = 2.0**500  # m: products of two vertex coordinate differences stay finite
+# m: every room length (vertex, box extent, camera height); products of two of
+# them, and their plane or wall distances along any pixel's ray, stay finite
+_MAX_COORD = 2.0**500
 
 
 def _readonly(a, what: str, shape_error=ShapeMismatchError) -> np.ndarray:
@@ -38,14 +40,15 @@ def _readonly(a, what: str, shape_error=ShapeMismatchError) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CameraHeights:
-    """Vertical camera-to-ceiling (up) and camera-to-floor (down) distances."""
+    """Camera-to-ceiling (up) and camera-to-floor (down) heights in (0, _MAX_COORD] m."""
 
     up: float
     down: float
 
     def __post_init__(self):
         for name in ("up", "down"):
-            object.__setattr__(self, name, _real(f"camera height '{name}'", getattr(self, name), 0))
+            h = _real(f"camera height '{name}'", getattr(self, name), 0, _MAX_COORD, "(]")
+            object.__setattr__(self, name, h)
 
 
 @dataclass(frozen=True)

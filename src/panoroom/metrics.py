@@ -72,15 +72,15 @@ def _pairwise(lo: int, hi: int, piece):
 
 def _error_sums(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Sums of |e| / g, e^2 / g, e^2 and |e| with e = p - g, then the counts
-    of max(p / g, g / p) below 1.25, 1.25^2 and 1.25^3."""
-    diff = p - g
-    abs_diff = np.abs(diff)
-    sq_diff = np.square(diff, out=diff)
-    scaled = np.divide(abs_diff, g)
-    sums = [np.add.reduce(scaled), np.add.reduce(np.divide(sq_diff, g, out=scaled))]
-    sums += [np.add.reduce(sq_diff), np.add.reduce(abs_diff)]
-    # max(p / g, g / p), in two buffers that are no longer needed
-    with np.errstate(divide="ignore"):
+    of max(p / g, g / p) below 1.25, 1.25^2 and 1.25^3; a sum past the floats is inf."""
+    with np.errstate(divide="ignore", over="ignore"):
+        diff = p - g
+        abs_diff = np.abs(diff)
+        sq_diff = np.square(diff, out=diff)
+        scaled = np.divide(abs_diff, g)
+        sums = [np.add.reduce(scaled), np.add.reduce(np.divide(sq_diff, g, out=scaled))]
+        sums += [np.add.reduce(sq_diff), np.add.reduce(abs_diff)]
+        # max(p / g, g / p), in two buffers that are no longer needed
         ratio = np.divide(p, g, out=scaled)
         np.maximum(ratio, np.divide(g, p, out=sq_diff), out=ratio)
     sums += [np.count_nonzero(ratio < t) for t in (1.25, 1.25**2, 1.25**3)]

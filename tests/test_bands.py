@@ -255,18 +255,3 @@ def test_fuse_non_finite_in_a_middle_band_is_value_range():
     seg = SegMap(grid=grid, values=np.full(grid.shape, 0.5))
     with pytest.raises(ValueRangeError, match="^depth values must be finite$"):
         fuse_depth(coarse, bg, seg)
-
-
-def test_background_non_finite_in_a_middle_band_is_value_range():
-    # ceiling down to row 100, and one column whose floor boundary lies a hair
-    # below the horizon: its wall range overflows in rows 100..128 only
-    grid = MIDDLE_GRID
-    floor = np.full(grid.width, 200.0)
-    floor[7] = grid.height / 2 + 1e-12
-    layout = LayoutMap(
-        ceil_rows=np.full(grid.width, 100.0), floor_rows=floor, corner_prob=np.zeros(grid.width)
-    )
-    with pytest.raises(ValueRangeError, match="^depth values must be finite$"), np.errstate(
-        over="ignore"
-    ):
-        resolve_background_depth(layout, CameraHeights(up=1.0, down=1e300), grid)

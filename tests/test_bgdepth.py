@@ -334,11 +334,15 @@ def test_background_is_read_only():
 
 
 def test_background_overflow_is_value_range():
-    # a floor boundary a hair below the horizon overflows the wall range
+    # a floor boundary a hair below the horizon divides the height by a tangent
+    # of ~5e-15: a height that would overflow the wall range there is refused
+    # as a camera height, and one at the bound gives a finite map
     h, w = 64, 128
     grid = GridSpec(width=w, height=h)
     layout = LayoutMap(
         ceil_rows=np.full(w, 10.0), floor_rows=np.full(w, 32.0 + 1e-13), corner_prob=np.zeros(w)
     )
-    with pytest.raises(ValueRangeError), np.errstate(over="ignore"):
-        resolve_background_depth(layout, CameraHeights(up=1.0, down=1e296), grid)
+    with pytest.raises(ValueRangeError, match="^camera height 'down' must be"):
+        CameraHeights(up=1.0, down=1e296)
+    bg = resolve_background_depth(layout, CameraHeights(up=1.0, down=2.0**500), grid)
+    assert np.isfinite(bg.values).all()

@@ -288,6 +288,15 @@ def test_denoise_slack_near_the_float_maximum_warns_nothing(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_denoise_room_height_reaches_the_length_bound_and_no_further(tmp_path, capsys):
+    bound = 2.0**500
+    assert run(denoise_with_slack(tmp_path, 1.0, cam_to_floor=bound)) == 0
+    assert capsys.readouterr().err == ""
+    past = float(np.nextafter(bound, np.inf))
+    assert_one_error_line(capsys, run(denoise_with_slack(tmp_path, 1.0, cam_to_floor=past)),
+                          "value-range")
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

@@ -210,10 +210,9 @@ CENSUS_ENTRIES = {
     "plan": (lambda v: SceneConfig(plan=v), "value-range", {}),
     "layout-ceil": (lambda v: LayoutMap(v, LAYOUT.floor_rows, LAYOUT.corner_prob),
                     "shape-mismatch", NOT_NUMBERS),
-    "height-up": (lambda v: CameraHeights(up=v, down=1.0), "value-range",
-                  {"five": None, "huge": None}),
+    "height-up": (lambda v: CameraHeights(up=v, down=1.0), "value-range", {"five": None}),
     "room-floor": (lambda v: ManhattanRoom(SQUARE, cam_to_floor=v, cam_to_ceil=1.0),
-                   "value-range", {"five": None, "huge": None}),
+                   "value-range", {"five": None}),
     "room-vertices": (lambda v: ManhattanRoom(v, 1.5, 1.0), "polygon", NOT_NUMBERS),
     "focal-alpha": (lambda v: FocalParams(alpha=v), "value-range", {}),
     "loss-weight": (lambda v: LossWeights(lambda1=v), "value-range",

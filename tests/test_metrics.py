@@ -177,6 +177,23 @@ def test_eval_matches_gathered_reference_over_many_bands(height):
         assert same_report(eval_metrics(pred, gt, m), gathered_eval(pred, gt, m))
 
 
+@pytest.mark.parametrize(
+    "pred_values, gt_values, inf_fields",
+    [([1e200, 5.0], [1.0, 0.0], {"sq_rel", "rmse"}),
+     ([1.0, 5.0], [1e-320, 0.0], {"abs_rel", "sq_rel"}),
+     ([1.5e308, 1.5e308], [1.0, 1.0], {"abs_rel", "sq_rel", "rmse", "mae"})],
+    ids=["square-overflows", "quotient-overflows", "sum-overflows"],
+)
+def test_errors_beyond_the_floats_read_inf_without_a_warning(pred_values, gt_values, inf_fields):
+    # a numpy warning fails the test; each metric is np.mean's, inf included
+    pred = DepthMap(grid=TINY, values=[pred_values])
+    gt = DepthMap(grid=TINY, values=[gt_values])
+    report = eval_metrics(pred, gt)
+    with np.errstate(over="ignore"):
+        assert same_report(report, gathered_eval(pred, gt))
+    assert {k for k, v in report.to_dict().items() if v == math.inf} == inf_fields
+
+
 # --- focal loss -------------------------------------------------------------
 
 
