@@ -45,7 +45,7 @@ def _points_in_polygon(edges, px, py):
     inside = np.zeros(np.shape(px), dtype=bool)
     for ax, ay, bx, by in edges:
         cond = (ay > py) != (by > py)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             xint = ax + (py - ay) * (bx - ax) / (by - ay)
         inside ^= cond & (px < xint)
     return inside
@@ -227,13 +227,14 @@ def shell_band(parts: ShellParts, grid, rows: slice, out):
 
 
 def polygon_boundary_distance(edges, x, y):
-    """Distance from points (x, y) to the nearest point on the polygon's edges."""
+    """Distance from points (x, y) to the polygon's edges; inf where its square is not a float."""
     d2 = np.full(np.shape(x), np.inf)
-    for ax, ay, bx, by in edges:
-        ex = bx - ax
-        ey = by - ay
-        s = np.clip(((x - ax) * ex + (y - ay) * ey) / (ex * ex + ey * ey), 0.0, 1.0)
-        qx = ax + s * ex - x
-        qy = ay + s * ey - y
-        d2 = np.minimum(d2, qx * qx + qy * qy)
+    with np.errstate(over="ignore"):
+        for ax, ay, bx, by in edges:
+            ex = bx - ax
+            ey = by - ay
+            s = np.clip(((x - ax) * ex + (y - ay) * ey) / (ex * ex + ey * ey), 0.0, 1.0)
+            qx = ax + s * ex - x
+            qy = ay + s * ey - y
+            d2 = np.minimum(d2, qx * qx + qy * qy)
     return np.sqrt(d2)

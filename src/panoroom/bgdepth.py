@@ -22,7 +22,7 @@ import numpy as np
 from . import _kernels
 from .equirect import GridSpec, _shown, pixel_center_lats, pixel_center_trig, row_to_lat
 from .errors import NoValidSamplesError, ShapeMismatchError, ValueRangeError
-from .layout import CameraHeights, LayoutMap, _readonly, floor_wall_range
+from .layout import _MAX_COORD, CameraHeights, LayoutMap, _readonly, floor_wall_range
 
 CEILING, WALL, FLOOR = 0, 1, 2
 
@@ -45,20 +45,22 @@ def _row_bands(grid: GridSpec):
 @dataclass(frozen=True)
 class _GridMap:
     """H x W float64 values on ``grid``. Public construction keeps one
-    read-only float64 copy (``layout._readonly``) and runs the subclass's
-    ``_check`` on it; ``_own`` wraps a map the package computes itself
-    without either."""
+    read-only float64 copy (``layout._readonly``) and checks that it lies in
+    the subclass's closed ``_range``; ``_own`` wraps a map the package
+    computes itself without either."""
 
     grid: GridSpec
     values: np.ndarray
 
-    _noun = ""  # names the map in the shape error
+    _noun = ""  # names the map in the errors
 
     def __post_init__(self):
         v = _readonly(self.values, f"{self._noun} values")
         if v.shape != self.grid.shape:
             raise ShapeMismatchError(f"{self._noun} values {v.shape} != grid {self.grid.shape}")
-        self._check(v)
+        lo, hi = self._range  # only the two ends are checked: a NaN spreads into both
+        if not (lo <= v.min() and v.max() <= hi):
+            raise ValueRangeError(f"{self._noun} values must lie in [{lo}, {hi:.3g}]")
         object.__setattr__(self, "values", v)
 
     @classmethod
@@ -78,18 +80,11 @@ class _GridMap:
 
 @dataclass(frozen=True)
 class DepthMap(_GridMap):
-    """H x W radial distances in meters; 0 = invalid/missing."""
+    """H x W radial distances in [0, _MAX_COORD] m, the bound of every length;
+    0 = invalid/missing. A stage's output may lie past the bound (finite)."""
 
     _noun = "depth"
-
-    @staticmethod
-    def _check(v: np.ndarray) -> None:
-        """The value checks of public construction; a NaN spreads into both ends."""
-        lo, hi = v.min(), v.max()
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueRangeError("depth values must be finite")
-        if lo < 0:
-            raise ValueRangeError("depth values must be >= 0")
+    _range = (0, _MAX_COORD)
 
 
 def require_same_grid(*maps) -> GridSpec:

@@ -49,8 +49,8 @@ import numpy as np
 from . import _kernels
 from .bgdepth import DepthMap, _row_bands, require_same_grid
 from .equirect import GridSpec, _real, pixel_center_trig
-from .errors import ShapeMismatchError
-from .layout import ManhattanRoom
+from .errors import ShapeMismatchError, ValueRangeError
+from .layout import ManhattanRoom, _readonly
 
 DEFAULT_SLACK = 1.0  # meters
 
@@ -61,9 +61,16 @@ _MARGIN = 1e-9
 
 
 def shell_outside_distance(room: ManhattanRoom, points: np.ndarray) -> np.ndarray:
-    """Euclidean distance from 3D points to the closed room shell (0 inside)."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    x, y, z = pts.T
+    """Euclidean distance from finite 3D points, (x, y, z) triples, to the
+    closed room shell (0 inside); inf if too far to square. A float64 array
+    is read in place, anything else taken as a value type takes an array."""
+    as_is = isinstance(points, np.ndarray) and points.dtype == np.float64
+    pts = points if as_is else _readonly(points, "points")
+    if pts.size % 3:
+        raise ShapeMismatchError(f"points need 3 values each, got {pts.size} values")
+    if pts.size and not (np.isfinite(pts.min()) and np.isfinite(pts.max())):
+        raise ValueRangeError("points must be finite")
+    x, y, z = pts.reshape(-1, 3).T
     dv = np.maximum(np.maximum(z - room.cam_to_ceil, -room.cam_to_floor - z), 0.0)
     edges = room.edges
     inside = _kernels._points_in_polygon(edges, x, y)

@@ -16,13 +16,13 @@ class ShapeMismatchError(PanoroomError, ValueError):
 
 
 class ValueRangeError(PanoroomError, ValueError):
-    """A value lies outside its allowed range: a non-finite or negative depth, a
-    room length (floor-plan vertex, box extent or camera height) that is NaN or
-    beyond 2**500 m, a camera height not above 0, a probability outside [0, 1], a
+    """A value lies outside its allowed range: a negative depth, a length (vertex,
+    box extent, camera height, depth or noise outlier offset) NaN or past 2**500 m,
+    a camera height or offset not above 0, a probability outside [0, 1], a
     boundary row outside its half of the image, a non-positive slack, threshold or
     size, a grid taller than the supported bound, a finite value beyond the float32
     range of a PFM, or, where the library takes a number, one that is not a Python
-    or numpy real number or is a bool (``CameraHeights(up=True)``,
+    or numpy real number (complex included) or is a bool (``CameraHeights(up=True)``,
     ``FocalParams(alpha="0.5")``, ``SceneConfig(box_count_range=5)``)."""
 
     code = "value-range"

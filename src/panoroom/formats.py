@@ -203,7 +203,12 @@ def _write_pfms(files, shape, bands) -> None:
 
 
 def _map_2d(values, writer: str) -> np.ndarray:
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError as e:  # ragged
+        raise ShapeMismatchError(f"{writer} writer expects a 2D map: {e}") from None
+    if arr.dtype.kind not in "biuf":
+        raise ValueRangeError(f"{writer} writer expects real numbers, got dtype {arr.dtype}")
     if arr.ndim != 2:
         raise ShapeMismatchError(f"{writer} writer expects a 2D map, got {arr.ndim} dimensions")
     if 0 in arr.shape:

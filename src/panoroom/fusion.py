@@ -13,7 +13,6 @@ import numpy as np
 
 from .bgdepth import DepthMap, _GridMap, _row_bands, require_same_grid
 from .equirect import _real
-from .errors import ValueRangeError
 
 DEFAULT_SEG_GAMMA = 0.1  # meters
 
@@ -22,13 +21,8 @@ DEFAULT_SEG_GAMMA = 0.1  # meters
 class SegMap(_GridMap):
     """H x W background probabilities (or binary labels) in [0, 1]."""
 
-    _noun = "seg"
-
-    @staticmethod
-    def _check(v: np.ndarray) -> None:
-        """The value checks of public construction; a NaN spreads into both ends."""
-        if not (0 <= v.min() and v.max() <= 1):
-            raise ValueRangeError("segmentation values must lie in [0, 1]")
+    _noun = "segmentation"
+    _range = (0, 1)
 
 
 def fuse_depth(coarse: DepthMap, background: DepthMap, seg: SegMap) -> DepthMap:
@@ -55,9 +49,6 @@ def fuse_depth(coarse: DepthMap, background: DepthMap, seg: SegMap) -> DepthMap:
             # +0.0 even where an input holds -0.0
             c_missing &= b_missing
             np.copyto(o, 0.0, where=c_missing)
-        # the inputs are finite and >= 0; the rounded blend is not proven finite
-        if not np.isfinite(o).all():
-            raise ValueRangeError("depth values must be finite")
     return DepthMap._own(grid, out)
 
 

@@ -16,8 +16,8 @@ from . import _kernels
 from .equirect import GridSpec, _real, lat_to_row, lon_to_col, pixel_center_trig, row_to_lat
 from .errors import CornerExtractionError, PolygonError, ShapeMismatchError, ValueRangeError
 
-# m: every room length (vertex, box extent, camera height); products of two of
-# them, and their plane or wall distances along any pixel's ray, stay finite
+# m: every length (vertex, box extent, camera height, depth, noise offset);
+# products of two, and plane or wall distances along any pixel's ray, stay finite
 _MAX_COORD = 2.0**500
 
 
@@ -25,14 +25,17 @@ def _readonly(a, what: str, shape_error=ShapeMismatchError) -> np.ndarray:
     """A read-only, row-major float64 copy of ``a``: the one way a value type
     takes an array from its caller, so that no later write by the caller
     reaches it and the banded stages walk rows of contiguous memory. A ragged
-    ``a`` is the type's ``shape_error``, one of non-numbers ``ValueRangeError``."""
+    ``a`` is the type's ``shape_error``; non-numbers, complex ones too,
+    ``ValueRangeError``."""
     try:
-        out = np.array(a, dtype=np.float64, order="C")
+        arr = np.asarray(a)
+    except ValueError as e:
+        raise shape_error(f"{what} do not form an array: {e}") from None
+    try:
+        if arr.dtype.kind == "c":  # the cast would drop the imaginary part
+            raise TypeError
+        out = np.array(arr, dtype=np.float64, order="C")
     except (TypeError, ValueError, OverflowError):
-        try:
-            np.asarray(a)
-        except ValueError as e:
-            raise shape_error(f"{what} do not form an array: {e}") from None
         raise ValueRangeError(f"{what} must be numbers that convert to floats") from None
     out.flags.writeable = False
     return out

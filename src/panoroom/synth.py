@@ -49,6 +49,8 @@ class SceneSpec:
 
 @dataclass(frozen=True)
 class NoiseSpec:
+    """Corruption: salt and outlier fractions, the outlier offset in (0, _MAX_COORD] m, a seed."""
+
     salt_frac: float = 0.05
     outlier_frac: float = 0.1
     outlier_offset: float = 2.0
@@ -60,7 +62,8 @@ class NoiseSpec:
             object.__setattr__(self, name, _real(name, getattr(self, name), 0, 1, "[]"))
         if self.salt_frac + self.outlier_frac > 1:
             raise ValueRangeError("salt_frac + outlier_frac must be <= 1")
-        object.__setattr__(self, "outlier_offset", _real("outlier_offset", self.outlier_offset, 0))
+        offset = _real("outlier_offset", self.outlier_offset, 0, _MAX_COORD, "(]")
+        object.__setattr__(self, "outlier_offset", offset)
 
 
 @dataclass(frozen=True)
@@ -275,11 +278,5 @@ def corrupt_depth(depth: DepthMap, noise: NoiseSpec) -> DepthMap:
     n_out = int(round(noise.outlier_frac * n))
     perm = rng.permutation(n)
     flat[perm[:n_salt]] = 0.0
-    outliers = perm[n_salt : n_salt + n_out]
-    # the input is a valid map: only a pushed depth can leave the range
-    with np.errstate(over="ignore"):
-        pushed = flat[outliers] + noise.outlier_offset
-    if not np.isfinite(pushed).all():
-        raise ValueRangeError("depth values must be finite")
-    flat[outliers] = pushed
+    flat[perm[n_salt : n_salt + n_out]] += noise.outlier_offset
     return DepthMap._own(depth.grid, flat.reshape(depth.grid.shape))

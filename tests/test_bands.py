@@ -16,7 +16,6 @@ from panoroom import (
     GridSpec,
     LayoutMap,
     NoiseSpec,
-    SegMap,
     bgdepth,
     cli,
     corrupt_depth,
@@ -31,7 +30,6 @@ from panoroom import (
     resolve_background_depth,
 )
 from panoroom.denoise import shell_outside_distance
-from panoroom.errors import ValueRangeError
 
 from conftest import make_scene, pixel_center_dirs
 from test_bgdepth import nested_where_background
@@ -239,19 +237,3 @@ def test_synth_maps_match_one_band_and_one_chunk(monkeypatch, tmp_path, height, 
     monkeypatch.setattr(formats, "PFM_CHUNK_BYTES", chunk_rows * grid.width * 4)
     assert synth_maps(tmp_path, "banded", height) == want
 
-
-# --- a non-finite value in a middle band ------------------------------------
-
-MIDDLE_GRID = GridSpec(width=514, height=257)
-
-
-def test_fuse_non_finite_in_a_middle_band_is_value_range():
-    grid = MIDDLE_GRID
-    assert len(list(bgdepth._row_bands(grid))) > 2
-    c = np.full(grid.shape, 2.0)
-    c[130, 7] = np.inf  # a map the package built itself, unchecked
-    coarse = DepthMap._own(grid, c)
-    bg = DepthMap(grid=grid, values=np.full(grid.shape, 3.0))
-    seg = SegMap(grid=grid, values=np.full(grid.shape, 0.5))
-    with pytest.raises(ValueRangeError, match="^depth values must be finite$"):
-        fuse_depth(coarse, bg, seg)

@@ -60,6 +60,14 @@ def test_shell_distance_against_brute_force():
         assert d == pytest.approx(bf, abs=2e-2)  # sampling resolution of oracle
 
 
+def test_shell_distance_of_points_too_far_to_square_reads_inf_without_a_warning():
+    # a numpy warning fails the test; flat and (N, 3) points read alike
+    room = make_scene(13, plan="lshape").room
+    far = np.array([[1e200, 0.0, 0.0], [0.0, -1e200, 1.0], [1e308, -1e308, 1e308]])
+    assert np.all(shell_outside_distance(room, far) == np.inf)
+    assert np.all(shell_outside_distance(room, far.ravel()) == np.inf)
+
+
 def test_clean_pixels_unchanged():
     scene = make_scene(1, boxes=(1, 2))
     gt = raycast_depth(scene, GRID, include_foreground=True)

@@ -35,6 +35,7 @@ from panoroom import (
 )
 from panoroom import cli, errors, synth
 from panoroom.bgdepth import cap_depth, wall_depth
+from panoroom.denoise import shell_outside_distance
 from panoroom.errors import PanoroomError
 from panoroom.formats import (
     layout_from_dict,
@@ -124,6 +125,18 @@ SQUARE = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
         # a map on another grid than the one asked for
         (lambda: resolve_camera_heights(LAYOUT, SMALL_DEPTH, GRID), "shape-mismatch"),
         (lambda: denoise_depth(COARSE, COARSE, SCENE.room, SMALL_DEPTH.grid), "shape-mismatch"),
+        # numpy complex numbers are not real numbers, in a value type or a writer
+        (lambda: DepthMap(grid=GRID, values=np.ones(GRID.shape, complex)), "value-range"),
+        (lambda: ManhattanRoom([np.complex128(v) for v in SQUARE], 1.5, 1.0), "value-range"),
+        (lambda: write_pfm(np.array([[1 + 1j, 2.0]]), "unwritten.pfm"), "value-range"),
+        (lambda: write_ply_pointcloud(np.ones((2, 4), complex), "unwritten.ply"), "value-range"),
+        (lambda: write_pfm([["a", "b"]], "unwritten.pfm"), "value-range"),
+        (lambda: write_ply_pointcloud([["a", "b"]], "unwritten.ply"), "value-range"),
+        (lambda: write_pfm([[1.0, 2.0], [3.0]], "unwritten.pfm"), "shape-mismatch"),
+        (lambda: shell_outside_distance(SCENE.room, [["a", "b", "c"]]), "value-range"),
+        (lambda: shell_outside_distance(SCENE.room, [[1, 2, 3], [4, 5]]), "shape-mismatch"),
+        (lambda: shell_outside_distance(SCENE.room, [1.0, 2.0]), "shape-mismatch"),
+        (lambda: shell_outside_distance(SCENE.room, [math.inf, 0.0, 0.0]), "value-range"),
     ],
     ids=["focal-alpha", "focal-eta", "loss-weight", "loss-term", "mode", "box-extent",
          "noise-fraction", "noise-sum", "noise-offset", "plan", "box-count", "pfm-3d",
@@ -137,7 +150,10 @@ SQUARE = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
          "room-ceil-negative", "room-vertex-nan", "room-vertex-inf", "box-count-float",
          "box-count-str", "box-count-none", "box-count-bool", "box-count-nan", "box-strings",
          "layout-2d", "room-vertex-huge", "height-5000-digits", "seed-5000-digits",
-         "grid-5000-digits", "box-beyond-bound", "heights-coarse-grid", "denoise-grid"],
+         "grid-5000-digits", "box-beyond-bound", "heights-coarse-grid", "denoise-grid",
+         "depth-complex", "room-vertex-complex", "pfm-complex", "ply-complex", "pfm-strings",
+         "ply-strings", "pfm-ragged", "points-strings", "points-ragged", "points-not-triples",
+         "points-inf"],
 )
 def test_library_errors_carry_a_code(call, code, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -275,6 +291,7 @@ TAKERS = {
     "denoise_depth.slack": lambda v: denoise_depth(TINY_DEPTH, TINY_DEPTH, SCENE.room, TINY, v),
     "generate_scene.seed": lambda v: generate_scene(v),
     "resolve_background_depth.mode": lambda v: resolve_background_depth(LAYOUT, HEIGHTS, GRID, v),
+    "shell_outside_distance.points": lambda v: shell_outside_distance(SCENE.room, v),
 }
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.text(max_size=3), st.floats(), st.integers(-3, 2**64),
@@ -287,6 +304,8 @@ WRONG_VALUES = st.one_of(
     st.dictionaries(st.text(max_size=2), SCALARS, max_size=2),
     st.lists(st.lists(SCALARS, min_size=1, max_size=3), min_size=1, max_size=5),
     hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6)),
+    hnp.arrays(np.complex128, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6)),
+    st.lists(st.complex_numbers().map(np.complex128), max_size=6),
 )
 
 

@@ -1,10 +1,15 @@
-"""One bound for every room length: a floor-plan vertex, a box extent and a
-camera height may reach ``layout._MAX_COORD`` (2**500 m) and no further.
+"""One bound for every length: a floor-plan vertex, a box extent, a camera
+height, a depth value and the noise outlier offset may reach
+``layout._MAX_COORD`` (2**500 m) and no further.
 
-Within it no geometric stage overflows, so each stage runs at the bound
-without a numpy warning, which fails the test (``filterwarnings`` in
-``pyproject.toml``). The stages read the bound from ``layout``, so a bound
-raised past what the floats hold fails them."""
+Within it no stage overflows, so each stage runs at the bound without a
+numpy warning, which fails the test (``filterwarnings`` in
+``pyproject.toml``). The maps a stage builds may lie past the bound, and
+the later stages take them without a warning too. The stages read the
+bound from ``layout``, so a bound raised past what the floats hold fails
+them."""
+
+import math
 
 import numpy as np
 import pytest
@@ -15,8 +20,13 @@ from panoroom import (
     GridSpec,
     LayoutMap,
     ManhattanRoom,
+    NoiseSpec,
     SceneSpec,
+    corrupt_depth,
     denoise_depth,
+    derive_seg_labels,
+    eval_metrics,
+    fuse_depth,
     layout_to_room,
     render_scene,
     resolve_background_depth,
@@ -42,6 +52,17 @@ def test_a_camera_height_reaches_the_bound_and_no_further(make):
     make(2.0**500)
     with pytest.raises(ValueRangeError, match=r"^camera height '(up|down)' must be a real number"):
         make(np.nextafter(2.0**500, np.inf))
+
+
+def test_a_depth_and_an_outlier_offset_reach_the_bound_and_no_further():
+    grid = GridSpec(width=4, height=2)
+    DepthMap(grid=grid, values=np.full(grid.shape, 2.0**500))
+    NoiseSpec(outlier_offset=2.0**500)
+    past = np.nextafter(2.0**500, np.inf)
+    with pytest.raises(ValueRangeError, match="^depth values must lie in"):
+        DepthMap(grid=grid, values=np.full(grid.shape, past))
+    with pytest.raises(ValueRangeError, match="^outlier_offset must be a real number"):
+        NoiseSpec(outlier_offset=past)
 
 
 def boundary_rows(height):
@@ -82,22 +103,48 @@ def test_shell_planes_at_the_bound_are_finite_off_the_horizon(height):
     assert np.isfinite(np.delete(planes, horizon)).all()
 
 
-@pytest.mark.parametrize("height", [3, 4, 9])
-def test_render_and_denoise_at_the_bound(height):
-    grid = GridSpec(width=2 * height, height=height)
+def scene_at_the_bound() -> SceneSpec:
     room = ManhattanRoom(BOUND * SQUARE, cam_to_floor=BOUND, cam_to_ceil=BOUND)
     # a box that fills the room from x = BOUND / 4 on, below half its height
     box = [BOUND / 4, -BOUND, -BOUND, BOUND, BOUND, BOUND / 2]
-    scene = SceneSpec(room=room, boxes=[box], seed=0)
+    return SceneSpec(room=room, boxes=[box], seed=0)
+
+
+@pytest.mark.parametrize("height", [3, 4, 9])
+def test_render_and_denoise_at_the_bound(height):
+    grid = GridSpec(width=2 * height, height=height)
+    scene = scene_at_the_bound()
     depth, shell, mask = render_scene(scene, grid)
     assert np.isfinite(depth.values).all() and (mask.values == 0).any()
-    # pixels missing or at twice the shell's depth are far outside it
-    far = 2.0 * shell.values
-    far[:, ::3] = 0.0
-    cleaned = denoise_depth(DepthMap(grid=grid, values=far), shell, room, grid)
+    # pixels missing or pushed 2**500 m past the shell are far outside it
+    far = corrupt_depth(shell, NoiseSpec(salt_frac=0.25, outlier_frac=0.75, outlier_offset=BOUND))
+    assert np.all((far.values == 0) | (far.values > shell.values))
+    cleaned = denoise_depth(far, shell, scene.room, grid)
     assert np.array_equal(cleaned.values, shell.values)
-    cleaned = denoise_depth(depth, shell, room, grid, slack=BOUND)
+    cleaned = denoise_depth(depth, shell, scene.room, grid, slack=BOUND)
     assert np.array_equal(cleaned.values, depth.values)
+
+
+@pytest.mark.parametrize("height", [3, 4, 64, 257])
+def test_stages_take_maps_past_the_bound_without_a_warning(height):
+    """A render of the room at the bound reaches past 2**500 m, and so does
+    background depth from floor boundaries one ulp below the horizon; the
+    stages that take depth maps run on them, and on their outputs, without
+    a numpy warning."""
+    grid = GridSpec(width=2 * height, height=height)
+    scene = scene_at_the_bound()
+    depth, shell, mask = render_scene(scene, grid)
+    (ceil, floor), _ = boundary_rows(height)
+    rows = LayoutMap(np.full(grid.width, ceil), np.full(grid.width, floor), np.zeros(grid.width))
+    bg = resolve_background_depth(rows, CameraHeights(up=BOUND, down=BOUND), grid)
+    assert shell.values.max() > BOUND and bg.values.max() > BOUND
+    coarse = corrupt_depth(bg, NoiseSpec(outlier_offset=BOUND))
+    fused = fuse_depth(coarse, shell, mask)
+    labels = derive_seg_labels(coarse, fused, gamma=BOUND)
+    for slack in (1.0, BOUND, math.inf):
+        denoise_depth(coarse, fused, scene.room, grid, slack)
+    eval_metrics(fused, depth, mask)
+    eval_metrics(depth, coarse, labels)
 
 
 def test_layout_to_room_at_the_bound_is_value_range():

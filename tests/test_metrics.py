@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from panoroom import (
+    CameraHeights,
     DepthMap,
     FocalParams,
     GridSpec,
+    LayoutMap,
     LossWeights,
     MetricsReport,
     NoiseSpec,
@@ -16,6 +18,7 @@ from panoroom import (
     focal_loss,
     gt_background_mask,
     raycast_depth,
+    resolve_background_depth,
     total_loss,
 )
 from panoroom.errors import NoValidSamplesError
@@ -177,16 +180,26 @@ def test_eval_matches_gathered_reference_over_many_bands(height):
         assert same_report(eval_metrics(pred, gt, m), gathered_eval(pred, gt, m))
 
 
+# A map a stage builds past the 2**500 m bound of public depth: background
+# depth on TINY's horizon row, from a floor boundary one ulp below the
+# horizon and heights at the bound, is ~2**551.3 m in both pixels.
+FAR = resolve_background_depth(
+    LayoutMap([0.25] * 2, [np.nextafter(0.5, 1.0)] * 2, [0.0] * 2),
+    CameraHeights(up=2.0**500, down=2.0**500),
+    TINY,
+)
+
+
 @pytest.mark.parametrize(
-    "pred_values, gt_values, inf_fields",
-    [([1e200, 5.0], [1.0, 0.0], {"sq_rel", "rmse"}),
-     ([1.0, 5.0], [1e-320, 0.0], {"abs_rel", "sq_rel"}),
-     ([1.5e308, 1.5e308], [1.0, 1.0], {"abs_rel", "sq_rel", "rmse", "mae"})],
+    "pred, gt_values, inf_fields",
+    [(FAR, [1.0, 0.0], {"sq_rel", "rmse"}),
+     (DepthMap(grid=TINY, values=[[1.0, 5.0]]), [1e-320, 0.0], {"abs_rel", "sq_rel"}),
+     # each |e| / g is ~1e308, their sum is not a float
+     (FAR, [FAR.values[0, 0] / 1e308] * 2, {"abs_rel", "sq_rel", "rmse"})],
     ids=["square-overflows", "quotient-overflows", "sum-overflows"],
 )
-def test_errors_beyond_the_floats_read_inf_without_a_warning(pred_values, gt_values, inf_fields):
+def test_errors_beyond_the_floats_read_inf_without_a_warning(pred, gt_values, inf_fields):
     # a numpy warning fails the test; each metric is np.mean's, inf included
-    pred = DepthMap(grid=TINY, values=[pred_values])
     gt = DepthMap(grid=TINY, values=[gt_values])
     report = eval_metrics(pred, gt)
     with np.errstate(over="ignore"):

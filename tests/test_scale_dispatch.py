@@ -1,7 +1,7 @@
-"""The scale relation of ``test_scale.py`` on numpy's AVX-512 paths and off
-them: the file is run again in a child process whose numpy has its
-``X86_V4`` and higher dispatch targets disabled, so both sides of each
-comparison take the narrower SIMD path there."""
+"""The scale relation of ``test_scale.py`` and the no-overflow guarantee of
+``test_length_bound.py`` on numpy's AVX-512 paths and off them: both files
+are run again in a child process whose numpy has its ``X86_V4`` and higher
+dispatch targets disabled, so each stage takes the narrower SIMD path there."""
 
 import os
 import subprocess
@@ -17,14 +17,17 @@ except ImportError:
     __cpu_dispatch__, __cpu_features__ = [], {}
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
-# the child reports any named feature its numpy still uses, then runs the file
+# the child reports any disabled feature its numpy still uses, then runs the files
 CHILD = """
+import os
 import sys
 import pytest
 from numpy._core._multiarray_umath import __cpu_features__
-print("still on:", *[n for n in sys.argv[2:] if __cpu_features__[n]])
-sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", sys.argv[1]]))
+disabled = os.environ["NPY_DISABLE_CPU_FEATURES"].split()
+print("still on:", *[n for n in disabled if __cpu_features__[n]])
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[1:]]))
 """
+FILES = ("test_scale.py", "test_length_bound.py")
 
 
 def avx512_targets() -> list[str]:
@@ -41,7 +44,7 @@ def test_scale_relation_holds_without_avx512():
         pytest.skip(f"numpy {np.__version__} dispatches no AVX-512 target on this host")
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled)}
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, os.path.join(TESTS, "test_scale.py"), *disabled],
+        [sys.executable, "-c", CHILD, *(os.path.join(TESTS, f) for f in FILES)],
         cwd=os.path.dirname(TESTS), env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.stdout.startswith("still on:\n"), proc.stdout + proc.stderr

@@ -202,10 +202,15 @@ def test_corrupt_identity_and_determinism():
 
 
 def test_corrupt_outlier_overflow_is_value_range():
-    # any positive offset is allowed, so the pushed depth can leave the floats
-    depth = DepthMap(grid=GRID, values=np.full(GRID.shape, 1e308))
-    with pytest.raises(ValueRangeError, match="finite"):
-        corrupt_depth(depth, NoiseSpec(0.0, 0.1, 1e308, seed=5))
+    # a depth and an offset are each bounded at 2**500 m, so no push leaves the floats
+    with pytest.raises(ValueRangeError, match="^depth values must lie in"):
+        DepthMap(grid=GRID, values=np.full(GRID.shape, 1e308))
+    with pytest.raises(ValueRangeError, match="^outlier_offset must be a real number"):
+        NoiseSpec(0.0, 0.1, 1e308, seed=5)
+    depth = DepthMap(grid=GRID, values=np.full(GRID.shape, 2.0**500))
+    pushed = corrupt_depth(depth, NoiseSpec(0.0, 0.1, 2.0**500, seed=5)).values
+    assert np.count_nonzero(pushed == 2.0**501) == round(0.1 * pushed.size)
+    assert np.all((pushed == 2.0**500) | (pushed == 2.0**501))
 
 
 def test_corrupt_fraction_counts():

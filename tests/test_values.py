@@ -70,20 +70,21 @@ def test_a_fortran_ordered_map_is_held_row_major():
     assert eval_metrics(fortran[0], gt) == eval_metrics(c_order[0], gt)
 
 
-DEPTH_RANGE = "^depth values must be >= 0$"
-DEPTH_FINITE = "^depth values must be finite$"
+DEPTH_RANGE = r"^depth values must lie in \[0, 3.27e\+150\]$"
 SEG_RANGE = r"^segmentation values must lie in \[0, 1\]$"
 
 
 @pytest.mark.parametrize(
     "cls, bad, message",
     [
-        (DepthMap, [math.nan], DEPTH_FINITE),
-        (DepthMap, [math.inf], DEPTH_FINITE),
-        (DepthMap, [-math.inf], DEPTH_FINITE),
+        (DepthMap, [math.nan], DEPTH_RANGE),
+        (DepthMap, [math.inf], DEPTH_RANGE),
+        (DepthMap, [-math.inf], DEPTH_RANGE),
         (DepthMap, [-1.0], DEPTH_RANGE),
-        (DepthMap, [-1.0, math.nan], DEPTH_FINITE),
+        (DepthMap, [-1.0, math.nan], DEPTH_RANGE),
         (DepthMap, [-0.0], None),
+        (DepthMap, [2.0**500], None),
+        (DepthMap, [np.nextafter(2.0**500, math.inf)], DEPTH_RANGE),
         (SegMap, [math.nan], SEG_RANGE),
         (SegMap, [math.inf], SEG_RANGE),
         (SegMap, [-math.inf], SEG_RANGE),
@@ -92,8 +93,8 @@ SEG_RANGE = r"^segmentation values must lie in \[0, 1\]$"
         (SegMap, [-0.0, 1.0], None),
     ],
     ids=["depth-nan", "depth-inf", "depth-neg-inf", "depth-negative", "depth-negative-and-nan",
-         "depth-neg-zero", "seg-nan", "seg-inf", "seg-neg-inf", "seg-negative", "seg-above-one",
-         "seg-neg-zero-and-one"],
+         "depth-neg-zero", "depth-at-the-bound", "depth-past-the-bound", "seg-nan", "seg-inf",
+         "seg-neg-inf", "seg-negative", "seg-above-one", "seg-neg-zero-and-one"],
 )
 def test_public_construction_checks_the_range(cls, bad, message):
     """One bad value anywhere in a map is refused with its message; -0.0
